@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, report, synth
 from .config import ConfigError, ExperimentConfig, parse_config
 from .data import IdxFormatError
-from .experiment import final_test_accuracy, prepare_problem, run_experiment, setting_spec
+from .experiment import final_test_accuracy, prepare_problem, run_experiment
 from .federation import fedavg_weights
 from .verify import run_gradcheck
 
@@ -89,13 +89,13 @@ def cmd_run(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not (1e-6 <= args.eps <= 1e-2):
         raise ConfigError(f"eps {args.eps} outside [1e-6, 1e-2]")
-    max_err = run_gradcheck(
+    max_err, redrawn = run_gradcheck(
         n_instances=args.instances, eps=args.eps, seed=args.seed,
         corrupt_sign=args.corrupt_sign,
     )
     ok = max_err < 1e-4
-    print(f"gradcheck: max relative error {max_err:.3e} over "
-          f"{args.instances} instances -> {'PASS' if ok else 'FAIL'}")
+    print(f"gradcheck: max relative error {max_err:.3e} over {args.instances} "
+          f"instances, {redrawn} redrawn at a kink -> {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -128,7 +128,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_report(args) -> int:
-    history = _read_history_csv(args.history)
+    history = report.read_csv(args.history)
     os.makedirs(args.out, exist_ok=True)
     for kind in ("accuracy", "loss", "weights"):
         report.render_svg(history, kind, os.path.join(args.out, f"{kind}.svg"))
@@ -142,35 +142,6 @@ def cmd_synth(args) -> int:
     )
     print(json.dumps(paths, indent=2))
     return EXIT_OK
-
-
-def _read_history_csv(path) -> report.RunHistory:
-    import csv as csvmod
-
-    from .federation import RoundRecord
-
-    with open(path, newline="") as f:
-        rows = list(csvmod.reader(f))
-    if not rows:
-        raise IdxFormatError(f"empty history file {path}")
-    header = rows[0]
-    K = sum(1 for h in header if h.startswith("theta_"))
-    records = []
-    for row in rows[1:]:
-        theta = np.array([float(v) for v in row[4:4 + K]])
-        mask = np.array([c == "1" for c in row[4 + K]])
-        records.append((
-            int(row[0]),
-            RoundRecord(
-                round=int(row[1]),
-                theta=theta,
-                local_losses=np.full(K, np.nan),
-                participation=mask,
-                val_loss=float(row[2]),
-                test_acc=float(row[3]),
-            ),
-        ))
-    return report.RunHistory(config={}, K=K, rounds=records)
 
 
 def build_parser() -> argparse.ArgumentParser:

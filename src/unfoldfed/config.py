@@ -7,12 +7,13 @@ is the main way a reproduction goes wrong.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
 from . import nn
 from .data import SETTING_IDS
-from .unfolding import NORM_MODES, Seeds, UnfoldConfig
+from .unfolding import Seeds, UnfoldConfig
 
 MODES = ("fedavg", "fixed-uniform", "unfolded")
 
@@ -50,24 +51,18 @@ class ExperimentConfig:
     val_size: int = 1000
     layer_dims: list[int] = field(default_factory=lambda: [784, 32, 10])
     seeds: dict = field(default_factory=lambda: {"model": 1, "data": 2, "rounds": 3})
-    norm: str = "softmax"
-    meta_objective: str = "validation"
     threads: int = 1
     emit_svg: bool = True
 
     def model_spec(self) -> nn.ModelSpec:
         return nn.ModelSpec(tuple(self.layer_dims))
 
-    def seed_obj(self) -> Seeds:
-        return Seeds(**self.seeds)
-
     def unfold_config(self) -> UnfoldConfig:
         return UnfoldConfig(
             K=self.K, M=self.M, T=self.T, model=self.model_spec(),
             eta_g=self.eta_g, eta_meta=self.eta_meta,
             lambda_model=self.lambda_model, lambda_theta=self.lambda_theta,
-            seeds=self.seed_obj(), norm=self.norm,
-            meta_objective=self.meta_objective, threads=self.threads,
+            seeds=Seeds(**self.seeds), threads=self.threads,
         )
 
     def echo(self) -> dict:
@@ -77,39 +72,56 @@ class ExperimentConfig:
         return out
 
 
-def _check(cfg: ExperimentConfig) -> None:
-    def bad(name, why):
-        raise ConfigError(f"config field {name!r}: {why}")
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
-    if cfg.mode not in MODES:
-        bad("mode", f"must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.setting not in SETTING_IDS:
-        bad("setting", f"must be one of {SETTING_IDS}, got {cfg.setting!r}")
+
+def _is_number(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
+def _is_list_of(v, ok) -> bool:
+    return isinstance(v, list) and all(ok(x) for x in v)
+
+
+def _check(cfg: ExperimentConfig) -> None:
+    """Type and range checks on every field, before anything reads them."""
+    def need(name, ok, what):
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ConfigError(f"config field {name!r}: must be {what}, got {value!r}")
+
+    def positive_int(v):
+        return _is_int(v) and v >= 1
+
+    for name in DATA_PATH_KEYS + ("out_dir",):
+        need(name, lambda v: isinstance(v, str), "a string")
+    need("emit_svg", lambda v: isinstance(v, bool), "true or false")
+    need("mode", lambda v: v in MODES, f"one of {MODES}")
+    need("setting", lambda v: v in SETTING_IDS, f"one of {SETTING_IDS}")
     for name in ("K", "M", "T", "batch_size", "epochs", "per_client",
                  "val_size", "threads"):
-        if not isinstance(getattr(cfg, name), int) or getattr(cfg, name) < 1:
-            bad(name, f"must be a positive integer, got {getattr(cfg, name)!r}")
+        need(name, positive_int, "a positive integer")
     for name in ("eta_g", "local_lr"):
-        if getattr(cfg, name) <= 0:
-            bad(name, "must be positive")
+        need(name, lambda v: _is_number(v) and v > 0, "a positive number")
     for name in ("eta_meta", "lambda_model", "lambda_theta"):
-        if getattr(cfg, name) < 0:
-            bad(name, "must be nonnegative")
-    if cfg.norm not in NORM_MODES:
-        bad("norm", f"must be one of {NORM_MODES}")
-    if cfg.meta_objective not in ("validation", "client"):
-        bad("meta_objective", "must be 'validation' or 'client'")
-    if len(cfg.layer_dims) < 2 or any(d < 1 for d in cfg.layer_dims):
-        bad("layer_dims", "needs >= 2 positive dims")
-    if set(cfg.seeds) - {"model", "data", "rounds"}:
-        bad("seeds", f"unknown seed keys {sorted(set(cfg.seeds) - {'model', 'data', 'rounds'})}")
-    for name in ("sizes", "epoch_list", "participation_list", "label_map"):
-        value = getattr(cfg, name)
-        if value is not None and len(value) != cfg.K:
-            bad(name, f"length {len(value)} != K={cfg.K}")
-    if cfg.participation_list is not None:
-        if any(not (0 < p <= 1) for p in cfg.participation_list):
-            bad("participation_list", "entries must be in (0, 1]")
+        need(name, lambda v: _is_number(v) and v >= 0, "a nonnegative number")
+    need("layer_dims", lambda v: _is_list_of(v, positive_int) and len(v) >= 2,
+         "a list of >= 2 positive integers")
+    optional_lists = {
+        "sizes": (positive_int, "positive integers"),
+        "epoch_list": (positive_int, "positive integers"),
+        "participation_list": (lambda p: _is_number(p) and 0 < p <= 1,
+                               "numbers in (0, 1]"),
+        "label_map": (lambda row: _is_list_of(row, _is_int), "integer lists"),
+    }
+    for name, (ok, what) in optional_lists.items():
+        need(name, lambda v: v is None or _is_list_of(v, ok) and len(v) == cfg.K,
+             f"null or a list of K={cfg.K} {what}")
+    need("seeds", lambda v: set(v) <= {"model", "data", "rounds"},
+         "an object with keys among model, data, rounds")
+    need("seeds", lambda v: all(_is_int(x) and x >= 0 for x in v.values()),
+         "an object of nonnegative integers")
 
 
 def resolve_data_path(path: str) -> str:

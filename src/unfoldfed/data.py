@@ -7,7 +7,7 @@ communication) as index shards over a dataset plus per-client profiles.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from .data import (
 )
 from .federation import fedavg_weights
 from .report import RunHistory
-from .unfolding import MetaTrace, unfold_train, weights_from_logits
+from .unfolding import softmax_weights, unfold_train
 
 
 @dataclass
@@ -31,7 +30,6 @@ class Problem:
     test_batch: nn.Batch
     shards: list
     profiles: list
-    objective_batch: nn.Batch | None
 
 
 def setting_spec(cfg: ExperimentConfig) -> SettingSpec:
@@ -50,34 +48,18 @@ def setting_spec(cfg: ExperimentConfig) -> SettingSpec:
     )
 
 
-def _client_probe_batch(train: Dataset, shards, seed: int,
-                        per_shard: int = 200) -> nn.Batch:
-    """Fixed sample across shards for the client-side meta objective."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for shard in shards:
-        take = min(per_shard, shard.size)
-        rows.append(rng.choice(shard.indices, size=take, replace=False))
-    rows = np.sort(np.concatenate(rows))
-    return nn.Batch(train.images[rows], train.labels[rows])
-
-
 def prepare_problem(cfg: ExperimentConfig) -> Problem:
     full_train = load_dataset(cfg.train_images, cfg.train_labels, "train")
     test = load_dataset(cfg.test_images, cfg.test_labels, "test")
     train, val = split_validation(full_train, cfg.val_size, cfg.seeds["data"])
     shards = partition_for_setting(train, setting_spec(cfg))
     profiles = make_profiles(setting_spec(cfg), shards, cfg.local_lr, cfg.batch_size)
-    objective = None
-    if cfg.meta_objective == "client":
-        objective = _client_probe_batch(train, shards, cfg.seeds["data"])
     return Problem(
         train=train,
         val_batch=nn.Batch(val.images, val.labels),
         test_batch=nn.Batch(test.images, test.labels),
         shards=shards,
         profiles=profiles,
-        objective_batch=objective,
     )
 
 
@@ -86,7 +68,6 @@ def run_experiment(cfg: ExperimentConfig, problem: Problem | None = None):
 
     For the baseline modes `logits` and `theta_matrix` are None.
     """
-    t0 = time.perf_counter()
     if problem is None:
         problem = prepare_problem(cfg)
     ucfg = cfg.unfold_config()
@@ -99,15 +80,11 @@ def run_experiment(cfg: ExperimentConfig, problem: Problem | None = None):
         ucfg, problem.train, problem.profiles,
         problem.val_batch, problem.test_batch,
         fixed_theta=fixed_theta,
-        objective_batch=problem.objective_batch,
     )
-    elapsed = time.perf_counter() - t0
-    history = RunHistory.from_trace(
-        cfg.echo(), cfg.K, trace, wall_clock={"total_sec": elapsed}
-    )
+    history = RunHistory.from_trace(cfg.echo(), cfg.K, trace)
     if fixed_theta is not None:
         return history, None, None
-    theta_matrix = np.stack([weights_from_logits(row, cfg.norm) for row in logits])
+    theta_matrix = np.stack([softmax_weights(row) for row in logits])
     return history, logits, theta_matrix
 
 

@@ -98,7 +98,6 @@ def aggregate(
     theta: np.ndarray,
     eta_g: float,
     lambda_model: float,
-    require_simplex: bool = True,
 ) -> np.ndarray:
     """Regularized weighted server update.
 
@@ -108,8 +107,7 @@ def aggregate(
     theta = np.asarray(theta, dtype=np.float64)
     if len(theta) != len(updates):
         raise ValueError(f"{len(theta)} weights for {len(updates)} updates")
-    if require_simplex:
-        check_simplex(theta)
+    check_simplex(theta)
     step = np.zeros_like(global_params)
     for t_k, upd in zip(theta, updates):
         if upd.participated:
@@ -132,7 +130,6 @@ def run_round(
     val: nn.Batch,
     test: nn.Batch,
     threads: int = 1,
-    require_simplex: bool = True,
 ) -> tuple[np.ndarray, RoundRecord, list[np.ndarray]]:
     """Execute one full round and evaluate the result.
 
@@ -152,9 +149,7 @@ def run_round(
     else:
         updates = [work(k) for k in range(len(profiles))]
 
-    new_params = aggregate(
-        global_params, updates, theta, eta_g, lambda_model, require_simplex
-    )
+    new_params = aggregate(global_params, updates, theta, eta_g, lambda_model)
     val_loss, _ = nn.evaluate(spec, new_params, val)
     _, test_acc = nn.evaluate(spec, new_params, test)
     record = RoundRecord(

@@ -7,7 +7,7 @@ be shipped between simulated clients and the server as one unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,6 @@ class ModelSpec:
         if any(d < 1 for d in self.layer_dims):
             raise ValueError(f"layer dims must be positive, got {self.layer_dims}")
         object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
-
-    @property
-    def num_classes(self) -> int:
-        return self.layer_dims[-1]
 
     @property
     def num_params(self) -> int:

@@ -7,14 +7,16 @@ digits.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .data import IdxFormatError
 from .federation import RoundRecord
-from .unfolding import MetaTrace, weights_from_logits
+from .unfolding import MetaTrace
 
 
 def fmt(x: float) -> str:
@@ -29,18 +31,15 @@ class RunHistory:
     K: int
     rounds: list[tuple[int, RoundRecord]]  # (meta_iter, record)
     meta_losses: list[float] = field(default_factory=list)
-    wall_clock: dict[str, float] = field(default_factory=dict)
 
     @staticmethod
-    def from_trace(config: dict, K: int, trace: MetaTrace,
-                   wall_clock: dict[str, float] | None = None) -> "RunHistory":
+    def from_trace(config: dict, K: int, trace: MetaTrace) -> "RunHistory":
         rounds = [(it.m, rec) for it in trace.iterations for rec in it.records]
         return RunHistory(
             config=config,
             K=K,
             rounds=rounds,
             meta_losses=[it.meta_loss for it in trace.iterations],
-            wall_clock=wall_clock or {},
         )
 
 
@@ -61,6 +60,37 @@ def emit_csv(history: RunHistory, path) -> None:
         )
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def read_csv(path) -> RunHistory:
+    """Parse a history written by `emit_csv`; local losses read back as NaN.
+
+    A file that is not such a history raises IdxFormatError naming the line.
+    """
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    K = len(rows[0]) - 5 if rows else 0
+    if not rows or rows[0] != csv_header(K).split(","):
+        raise IdxFormatError(f"{path}: no history header")
+    records = []
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            if len(row) != 5 + K:
+                raise ValueError(f"{len(row)} fields, expected {5 + K}")
+            mask = row[4 + K]
+            if len(mask) != K or set(mask) - {"0", "1"}:
+                raise ValueError(f"participation mask {mask!r}")
+            records.append((int(row[0]), RoundRecord(
+                round=int(row[1]),
+                theta=np.array([float(v) for v in row[4:4 + K]]),
+                local_losses=np.full(K, np.nan),
+                participation=np.array([c == "1" for c in mask]),
+                val_loss=float(row[2]),
+                test_acc=float(row[3]),
+            )))
+        except ValueError as e:
+            raise IdxFormatError(f"{path} line {line}: {e}") from e
+    return RunHistory(config={}, K=K, rounds=records)
 
 
 def emit_weights_json(logits: np.ndarray, theta_matrix: np.ndarray, path,

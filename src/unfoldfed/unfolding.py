@@ -9,15 +9,14 @@ round's immediate effect, with a finite-difference oracle alongside.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
 from .data import ClientProfile, Dataset
-from .federation import RoundRecord, aggregate, run_round
-
-NORM_MODES = ("softmax", "sum", "none")
+from .federation import ClientUpdate, RoundRecord, aggregate, run_round
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,6 @@ class UnfoldConfig:
     lambda_model: float = 1e-4
     lambda_theta: float = 1e-4
     seeds: Seeds = field(default_factory=Seeds)
-    norm: str = "softmax"
-    meta_objective: str = "validation"  # or "client"
     threads: int = 1
 
     def __post_init__(self):
@@ -49,10 +46,6 @@ class UnfoldConfig:
             raise ValueError("eta_g must be positive, eta_meta nonnegative")
         if self.lambda_model < 0 or self.lambda_theta < 0:
             raise ValueError("decay coefficients must be nonnegative")
-        if self.norm not in NORM_MODES:
-            raise ValueError(f"unknown normalization mode {self.norm!r}")
-        if self.meta_objective not in ("validation", "client"):
-            raise ValueError(f"unknown meta objective {self.meta_objective!r}")
 
 
 @dataclass(frozen=True)
@@ -78,31 +71,6 @@ def softmax_weights(z_row: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def weights_from_logits(z_row: np.ndarray, norm: str = "softmax") -> np.ndarray:
-    """Map one logits row to aggregation weights under the chosen scheme.
-
-    "sum" divides positive logits by their total (post-hoc normalization);
-    "none" uses the logits directly and gives up the simplex guarantee.
-    """
-    z = np.asarray(z_row, dtype=np.float64)
-    if norm == "softmax":
-        return softmax_weights(z)
-    if norm == "sum":
-        if np.any(z <= 0):
-            raise ValueError("sum normalization requires strictly positive logits")
-        return z / z.sum()
-    return z.copy()
-
-
-def initial_logits(T: int, K: int, norm: str = "softmax") -> np.ndarray:
-    """Logits whose induced weights start uniform under each scheme."""
-    if norm == "softmax":
-        return np.zeros((T, K))
-    if norm == "sum":
-        return np.ones((T, K))
-    return np.full((T, K), 1.0 / K)
-
-
 def meta_gradient_row(
     spec: nn.ModelSpec,
     z_row: np.ndarray,
@@ -110,7 +78,6 @@ def meta_gradient_row(
     w_next: np.ndarray,
     val: nn.Batch,
     eta_g: float,
-    norm: str = "softmax",
 ) -> np.ndarray:
     """Truncated gradient of the post-round evaluation loss w.r.t. one row.
 
@@ -123,13 +90,8 @@ def meta_gradient_row(
         raise ValueError(f"{len(deltas)} deltas for {len(z)} logits")
     _, g = nn.loss_and_grad(spec, w_next, val)
     a = np.array([eta_g * float(g @ d) for d in deltas])
-    if norm == "softmax":
-        theta = softmax_weights(z)
-        return theta * (a - float(theta @ a))
-    if norm == "sum":
-        theta = weights_from_logits(z, "sum")
-        return (a - float(theta @ a)) / z.sum()
-    return a
+    theta = softmax_weights(z)
+    return theta * (a - float(theta @ a))
 
 
 def fd_meta_gradient_row(
@@ -141,26 +103,15 @@ def fd_meta_gradient_row(
     eta_g: float,
     lambda_model: float,
     eps: float = 1e-3,
-    norm: str = "softmax",
 ) -> np.ndarray:
     """Central-difference oracle for the one-round objective, deltas frozen."""
     if not (1e-6 <= eps <= 1e-2):
         raise ValueError(f"eps {eps} outside [1e-6, 1e-2]")
     z = np.asarray(z_row, dtype=np.float64)
-
-    class _Frozen:
-        def __init__(self, delta):
-            self.delta = delta
-            self.participated = True
-
-    updates = [_Frozen(d) for d in deltas]
+    updates = [ClientUpdate(d, 0.0, True) for d in deltas]
 
     def objective(zq: np.ndarray) -> float:
-        theta = weights_from_logits(zq, norm)
-        w_next = aggregate(
-            w, updates, theta, eta_g, lambda_model,
-            require_simplex=(norm != "none"),
-        )
+        w_next = aggregate(w, updates, softmax_weights(zq), eta_g, lambda_model)
         loss, _ = nn.evaluate(spec, w_next, val)
         return loss
 
@@ -186,8 +137,30 @@ def meta_step(
     return z - eta_meta * (row_grads + lambda_theta * z)
 
 
-def _round_seed(seeds: Seeds, m: int, t: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([seeds.rounds, m, t])
+def rollout(
+    cfg: UnfoldConfig,
+    dataset: Dataset,
+    profiles: list[ClientProfile],
+    val: nn.Batch,
+    test: nn.Batch,
+    w0: np.ndarray,
+    thetas: list[np.ndarray],
+    m: int,
+) -> Iterator[tuple[np.ndarray, RoundRecord, list[np.ndarray]]]:
+    """The T rounds of meta-iteration m from `w0`, round t weighted by thetas[t].
+
+    Round t is seeded from (seeds.rounds, m, t) only. Yields (w_next, record,
+    deltas) round by round, so only one round's K client deltas are alive.
+    """
+    w = w0
+    for t in range(cfg.T):
+        w, rec, deltas = run_round(
+            t, w, cfg.model, dataset, profiles, thetas[t],
+            cfg.eta_g, cfg.lambda_model,
+            np.random.SeedSequence([cfg.seeds.rounds, m, t]),
+            val, test, threads=cfg.threads,
+        )
+        yield w, rec, deltas
 
 
 def unfold_train(
@@ -198,63 +171,46 @@ def unfold_train(
     test: nn.Batch,
     fixed_theta: np.ndarray | None = None,
     start_logits: np.ndarray | None = None,
-    objective_batch: nn.Batch | None = None,
 ) -> tuple[np.ndarray, MetaTrace]:
     """Run M meta-iterations of T unrolled rounds each.
 
     Every meta-iteration restarts from the same seeded initial model so the
     round index t of each logits row keeps its meaning. With `fixed_theta`
     the loop degenerates to a fixed-weight baseline (FedAvg, uniform) on the
-    exact same seeding path. Per-round stochasticity is derived from
-    (seeds.rounds, m, t) only.
+    exact same seeding path.
 
-    Under softmax normalization the logits rows are kept canonical (row max
-    zero). A uniform row shift never changes the weights, and canonical form
-    makes that invariance exact in floating point rather than approximate.
+    The logits rows are kept canonical (row max zero). A uniform row shift
+    never changes the softmax weights, and canonical form makes that
+    invariance exact in floating point rather than approximate.
     """
 
     def canonical(zq: np.ndarray) -> np.ndarray:
-        if cfg.norm != "softmax":
-            return zq
         return zq - zq.max(axis=1, keepdims=True)
 
     if len(profiles) != cfg.K:
         raise ValueError(f"{len(profiles)} profiles for K={cfg.K}")
     w0 = nn.init_model(cfg.model, cfg.seeds.model)
-    z = initial_logits(cfg.T, cfg.K, cfg.norm) if start_logits is None \
+    z = np.zeros((cfg.T, cfg.K)) if start_logits is None \
         else np.array(start_logits, dtype=np.float64)
     if z.shape != (cfg.T, cfg.K):
         raise ValueError(f"logits shape {z.shape}, expected {(cfg.T, cfg.K)}")
     z = canonical(z)
-    obj_batch = val if objective_batch is None else objective_batch
 
     iterations: list[MetaIteration] = []
     for m in range(cfg.M):
-        w = w0
+        thetas = [fixed_theta] * cfg.T if fixed_theta is not None \
+            else [softmax_weights(row) for row in z]
         row_grads = np.zeros((cfg.T, cfg.K))
         meta_loss = 0.0
         records: list[RoundRecord] = []
-        for t in range(cfg.T):
-            theta = fixed_theta if fixed_theta is not None \
-                else weights_from_logits(z[t], cfg.norm)
-            w_next, rec, deltas = run_round(
-                t, w, cfg.model, dataset, profiles, theta,
-                cfg.eta_g, cfg.lambda_model, _round_seed(cfg.seeds, m, t),
-                val, test, threads=cfg.threads,
-                require_simplex=(cfg.norm != "none"),
-            )
-            if obj_batch is val:
-                meta_loss += rec.val_loss
-            else:
-                obj_loss, _ = nn.evaluate(cfg.model, w_next, obj_batch)
-                meta_loss += obj_loss
+        rounds = rollout(cfg, dataset, profiles, val, test, w0, thetas, m)
+        for w_next, rec, deltas in rounds:
+            meta_loss += rec.val_loss
             if fixed_theta is None:
-                row_grads[t] = meta_gradient_row(
-                    cfg.model, z[t], deltas, w_next, obj_batch,
-                    cfg.eta_g, cfg.norm,
+                row_grads[rec.round] = meta_gradient_row(
+                    cfg.model, z[rec.round], deltas, w_next, val, cfg.eta_g,
                 )
             records.append(rec)
-            w = w_next
         if not np.isfinite(meta_loss):
             raise FloatingPointError(
                 f"meta-loss diverged at meta-iteration {m}: {meta_loss}"
@@ -279,15 +235,7 @@ def trajectory_meta_loss(
     Finite differences over this function give the full (untruncated)
     meta-gradient; slow, used only as a diagnostic for the truncation gap.
     """
-    w = nn.init_model(cfg.model, cfg.seeds.model)
-    total = 0.0
-    for t in range(cfg.T):
-        theta = weights_from_logits(z[t], cfg.norm)
-        w, rec, _ = run_round(
-            t, w, cfg.model, dataset, profiles, theta,
-            cfg.eta_g, cfg.lambda_model, _round_seed(cfg.seeds, m, t),
-            val, test, threads=cfg.threads,
-            require_simplex=(cfg.norm != "none"),
-        )
-        total += rec.val_loss
-    return total
+    w0 = nn.init_model(cfg.model, cfg.seeds.model)
+    thetas = [softmax_weights(row) for row in z]
+    rounds = rollout(cfg, dataset, profiles, val, test, w0, thetas, m)
+    return sum(rec.val_loss for _, rec, _ in rounds)

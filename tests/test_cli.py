@@ -5,6 +5,7 @@ import pytest
 
 from unfoldfed.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from unfoldfed.config import ConfigError, from_dict, parse_config
+from unfoldfed.report import csv_header
 
 
 @pytest.fixture
@@ -53,6 +54,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="malformed JSON"):
             parse_config(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("eta_g", "1"),
+        ("layer_dims", 5),
+        ("participation_list", [1.0, 1.0, "0.5", 0.5, 0.5]),
+        ("K", True),
+        ("seeds", {"model": "x"}),
+    ])
+    def test_wrong_type_exit_2(self, tmp_path, capsys, field, value):
+        with pytest.raises(ConfigError, match=repr(field)):
+            from_dict({field: value})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({field: value}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+
     def test_env_root_fallback(self, tmp_path, synth_paths, monkeypatch):
         import os
         root = os.path.dirname(str(synth_paths["train_images"]))
@@ -82,11 +98,15 @@ class TestCmdRun:
         assert (out / "history.csv").read_bytes() == first
 
     def test_baseline_mode_skips_weights_json(self, tmp_path, small_config):
-        out = tmp_path / "fa"
-        assert main(["run", "--config", str(small_config), "--mode", "fedavg",
-                     "--out", str(out)]) == EXIT_OK
-        assert (out / "history.csv").exists()
-        assert not (out / "weights.json").exists()
+        for mode in ("fedavg", "fixed-uniform"):
+            out = tmp_path / mode
+            assert main(["run", "--config", str(small_config), "--mode", mode,
+                         "--out", str(out)]) == EXIT_OK
+            assert (out / "history.csv").exists()
+            assert not (out / "weights.json").exists()
+        rows = (tmp_path / "fixed-uniform" / "history.csv").read_text().splitlines()
+        for row in rows[1:]:
+            assert [float(v) for v in row.split(",")[4:9]] == [0.2] * 5
 
     def test_missing_data_file_exit_3(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -111,6 +131,17 @@ class TestCmdGradcheck:
         assert main(["gradcheck", "--instances", "5", "--corrupt-sign"]) == EXIT_VERIFY
         assert "FAIL" in capsys.readouterr().out
 
+    def test_every_seed_passes_and_sign_corruption_fails(self, capsys):
+        # Seeds 7, 16 and 98 each draw one case whose FD points cross a
+        # rectifier kink; it is redrawn instead of failing a correct gradient.
+        for seed in range(100):
+            assert main(["gradcheck", "--seed", str(seed)]) == EXIT_OK, seed
+            line = capsys.readouterr().out
+            assert (", 1 redrawn" if seed in (7, 16, 98) else ", 0 redrawn") in line
+            assert main(["gradcheck", "--seed", str(seed),
+                         "--corrupt-sign"]) == EXIT_VERIFY, seed
+            assert "FAIL" in capsys.readouterr().out
+
     def test_eps_out_of_bounds_exit_2(self):
         assert main(["gradcheck", "--eps", "0.5"]) == EXIT_CONFIG
 
@@ -133,6 +164,15 @@ class TestCmdReport:
         assert main(["report", "--history", str(out / "history.csv"),
                      "--out", str(rep)]) == EXIT_OK
         assert (rep / "accuracy.svg").exists()
+
+    @pytest.mark.parametrize("row", ["0,1", "0,1,x,0.5,0.2,0.2,0.2,0.2,0.2,11111",
+                                     "0,1,1.0,0.5,0.2,0.2,0.2,0.2,0.2,1121"])
+    def test_malformed_row_exit_3(self, tmp_path, capsys, row):
+        path = tmp_path / "h.csv"
+        path.write_text(csv_header(5) + "\n" + row + "\n")
+        assert main(["report", "--history", str(path),
+                     "--out", str(tmp_path / "rep")]) == EXIT_IO
+        assert "line 2" in capsys.readouterr().err
 
 
 class TestCmdSynth:

@@ -11,6 +11,7 @@ from unfoldfed.report import (
     emit_csv,
     emit_weights_json,
     load_weights_json,
+    read_csv,
     render_svg,
 )
 
@@ -62,6 +63,23 @@ class TestEmitCsv:
         path = tmp_path / "h.csv"
         emit_csv(RunHistory(config={}, K=3, rounds=[(0, rec)]), path)
         assert path.read_text().splitlines()[1].endswith(",101")
+
+    def test_read_csv_round_trip(self, tmp_path):
+        rec = RoundRecord(4, np.array([0.125, 0.375, 0.5]), np.full(3, 0.9),
+                          np.array([True, False, True]), 1.25, 0.875)
+        history = RunHistory(config={}, K=3, rounds=[(7, rec), (8, rec)])
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_csv(history, a)
+        back = read_csv(a)
+        assert back.K == 3
+        assert [m for m, _ in back.rounds] == [7, 8]
+        for _, r in back.rounds:
+            assert r.round == 4
+            assert np.array_equal(r.theta, rec.theta)
+            assert np.array_equal(r.participation, rec.participation)
+            assert (r.val_loss, r.test_acc) == (1.25, 0.875)
+        emit_csv(back, b)
+        assert b.read_bytes() == a.read_bytes()
 
 
 class TestEmitWeightsJson:

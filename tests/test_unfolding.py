@@ -11,13 +11,11 @@ from unfoldfed.unfolding import (
     Seeds,
     UnfoldConfig,
     fd_meta_gradient_row,
-    initial_logits,
     meta_gradient_row,
     meta_step,
     softmax_weights,
     trajectory_meta_loss,
     unfold_train,
-    weights_from_logits,
 )
 from unfoldfed.verify import run_gradcheck
 
@@ -55,26 +53,6 @@ class TestSoftmaxWeights:
             assert np.all(theta >= 0)
 
 
-class TestWeightsFromLogits:
-    def test_sum_normalization(self):
-        theta = weights_from_logits(np.array([1.0, 3.0]), "sum")
-        assert np.allclose(theta, [0.25, 0.75], atol=1e-15)
-
-    def test_sum_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            weights_from_logits(np.array([1.0, -1.0]), "sum")
-
-    def test_none_passthrough(self):
-        z = np.array([0.4, 0.7])
-        assert np.array_equal(weights_from_logits(z, "none"), z)
-
-    def test_initial_logits_uniform_everywhere(self):
-        for norm in ("softmax", "sum", "none"):
-            z = initial_logits(3, 4, norm)
-            for row in z:
-                assert np.allclose(weights_from_logits(row, norm), 0.25, atol=1e-15)
-
-
 class TestMetaGradientRow:
     def test_identical_deltas_zero_gradient(self, tiny_batch):
         spec = nn.ModelSpec((4, 3, 2))
@@ -92,7 +70,8 @@ class TestMetaGradientRow:
         assert np.allclose(grad, [0.0], atol=1e-15)
 
     def test_matches_fd_oracle(self):
-        assert run_gradcheck(n_instances=5, seed=0) < 1e-4
+        max_err, _ = run_gradcheck(n_instances=5, seed=0)
+        assert max_err < 1e-4
 
     def test_dimension_mismatch_rejected(self, tiny_batch):
         spec = nn.ModelSpec((4, 3, 2))
@@ -153,8 +132,6 @@ class TestUnfoldConfig:
             UnfoldConfig(K=0, M=1, T=1, model=SPEC)
         with pytest.raises(ValueError):
             UnfoldConfig(K=1, M=1, T=1, model=SPEC, eta_g=0.0)
-        with pytest.raises(ValueError):
-            UnfoldConfig(K=1, M=1, T=1, model=SPEC, norm="bogus")
 
 
 class TestUnfoldTrain:
@@ -208,7 +185,7 @@ class TestUnfoldTrain:
     def test_row_shift_leaves_trace_identical(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(M=3, lambda_theta=1e-4)
-        start = initial_logits(3, 3)
+        start = np.zeros((3, 3))
         shifted = start.copy()
         shifted[1] += 7.3
         _, t1 = unfold_train(cfg, toy_dataset, profiles, val, test,
