@@ -32,17 +32,18 @@ EXIT_IO = 3
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = parse_config(args.config)
-    if getattr(args, "mode", None):
-        cfg.mode = args.mode
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "threads", None):
-        cfg.threads = args.threads
-    if getattr(args, "seed", None) is not None:
-        cfg.seeds = {"model": args.seed, "data": args.seed + 1,
-                     "rounds": args.seed + 2}
-    return cfg
+    """The config file with the command-line overrides, checked as one."""
+    overrides = {}
+    if args.mode:
+        overrides["mode"] = args.mode
+    if args.out:
+        overrides["out_dir"] = args.out
+    if args.threads is not None:
+        overrides["threads"] = args.threads
+    if args.seed is not None:
+        overrides["seeds"] = {"model": args.seed, "data": args.seed + 1,
+                              "rounds": args.seed + 2}
+    return parse_config(args.config, overrides)
 
 
 def _write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
@@ -89,6 +90,8 @@ def cmd_run(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not (1e-6 <= args.eps <= 1e-2):
         raise ConfigError(f"eps {args.eps} outside [1e-6, 1e-2]")
+    if args.instances < 1:
+        raise ConfigError(f"instances must be at least 1, got {args.instances}")
     max_err, redrawn = run_gradcheck(
         n_instances=args.instances, eps=args.eps, seed=args.seed,
         corrupt_sign=args.corrupt_sign,

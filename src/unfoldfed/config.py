@@ -155,7 +155,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Read a JSON config; `overrides` replace its fields before the checks."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -163,4 +164,4 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"malformed JSON in {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"top-level config in {path} must be a JSON object")
-    return from_dict(raw)
+    return from_dict({**raw, **(overrides or {})})

@@ -72,7 +72,7 @@ def client_update(
         return ClientUpdate(np.zeros_like(global_params), float("nan"), False)
 
     idx = profile.shard.indices
-    params = global_params
+    params = global_params.copy()  # trained in place by nn.sgd_step
     last_epoch_losses: list[float] = []
     for epoch in range(profile.epochs):
         order = rng.permutation(len(idx))

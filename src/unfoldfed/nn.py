@@ -8,6 +8,7 @@ be shipped between simulated clients and the server as one unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ class ModelSpec:
             raise ValueError(f"layer dims must be positive, got {self.layer_dims}")
         object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
 
-    @property
+    @cached_property
     def num_params(self) -> int:
         dims = self.layer_dims
         return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
@@ -88,67 +89,83 @@ def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray,
     return layers
 
 
-def _forward_pass(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Returns (probabilities, list of post-activation values per layer)."""
-    layers = unpack_params(spec, params)
+def _forward_pass(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
+    """Returns (probabilities, list of post-activation values per layer).
+
+    `layers` are the (W, b) views of `unpack_params`. Each activation is a
+    fresh array; the bias, rectifier and softmax are applied to it in place.
+    """
     activations = [x]
     h = x
     for i, (w, b) in enumerate(layers):
-        z = h @ w + b
+        h = h @ w
+        h += b
         if i < len(layers) - 1:
-            h = np.maximum(z, 0.0)
+            np.maximum(h, 0.0, out=h)
         else:
-            z = z - z.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            h = e / e.sum(axis=1, keepdims=True)
+            h -= h.max(axis=1, keepdims=True)
+            np.exp(h, out=h)
+            h /= h.sum(axis=1, keepdims=True)
         activations.append(h)
     return h, activations
 
 
 def forward(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Class probabilities, one row per sample; rows sum to 1."""
-    probs, _ = _forward_pass(spec, params, batch.features)
+    probs, _ = _forward_pass(unpack_params(spec, params), batch.features)
     return probs
 
 
 def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its exact gradient."""
+    """Mean cross-entropy over the batch and its exact gradient.
+
+    The gradient is one new vector laid out like `params`; `params` is only read.
+    """
     if not np.all(np.isfinite(params)):
         raise ValueError("non-finite entries in parameter vector")
     layers = unpack_params(spec, params)
-    probs, acts = _forward_pass(spec, params, batch.features)
+    probs, acts = _forward_pass(layers, batch.features)
     n = len(batch)
+    rows = np.arange(n)
     labels = np.asarray(batch.labels, dtype=np.intp)
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.mean(np.log(picked)))
+    loss = float(-np.mean(np.log(probs[rows, labels])))
 
-    # Backprop. delta starts as d(loss)/d(logits) of the softmax layer.
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
+    # Backprop. delta starts as d(loss)/d(logits) of the softmax layer,
+    # computed in place on probs, which nothing reads after this point.
+    delta = probs
+    delta[rows, labels] -= 1.0
     delta /= n
 
-    grads: list[np.ndarray] = []
+    grad = np.empty(spec.num_params)
+    grad_layers = unpack_params(spec, grad)
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        h_in = acts[i]
-        grads.append(delta.sum(axis=0))        # bias
-        grads.append((h_in.T @ delta).ravel())  # weights, row-major
+        gw, gb = grad_layers[i]
+        np.sum(delta, axis=0, out=gb)
+        np.matmul(acts[i].T, delta, out=gw)
         if i > 0:
-            delta = delta @ w.T
+            delta = delta @ layers[i][0].T
             delta[acts[i] <= 0.0] = 0.0  # rectifier mask
-    grads.reverse()
-    return loss, np.concatenate(grads)
+    return loss, grad
 
 
 def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float, decay: float = 0.0) -> np.ndarray:
-    """One step of SGD with weight decay: p - lr * (g + decay * p)."""
+    """One step of SGD with weight decay, in place: p -= lr * (g + decay * p).
+
+    `params` is overwritten with the new parameters and returned; `grad` is
+    not changed. A caller that still needs the old parameters copies them
+    before the call.
+    """
     if params.shape != grad.shape:
         raise ValueError(f"shape mismatch: {params.shape} vs {grad.shape}")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     if decay < 0:
         raise ValueError("decay must be nonnegative")
-    return params - lr * (grad + decay * params)
+    if decay:
+        params -= lr * (grad + decay * params)
+    else:
+        params -= lr * grad
+    return params
 
 
 def evaluate(spec: ModelSpec, params: np.ndarray, data: Batch) -> tuple[float, float]:
@@ -156,7 +173,7 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Batch) -> tuple[float, f
 
     Argmax ties break toward the lowest class index.
     """
-    probs, _ = _forward_pass(spec, params, data.features)
+    probs, _ = _forward_pass(unpack_params(spec, params), data.features)
     labels = np.asarray(data.labels, dtype=np.intp)
     picked = probs[np.arange(len(data)), labels]
     loss = float(-np.mean(np.log(picked)))

@@ -65,13 +65,16 @@ def emit_csv(history: RunHistory, path) -> None:
 def read_csv(path) -> RunHistory:
     """Parse a history written by `emit_csv`; local losses read back as NaN.
 
-    A file that is not such a history raises IdxFormatError naming the line.
+    A file that is not such a history, or holds no rows, raises
+    IdxFormatError naming the line.
     """
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     K = len(rows[0]) - 5 if rows else 0
     if not rows or rows[0] != csv_header(K).split(","):
         raise IdxFormatError(f"{path}: no history header")
+    if len(rows) == 1:
+        raise IdxFormatError(f"{path} line 2: no rows after the header")
     records = []
     for line, row in enumerate(rows[1:], start=2):
         try:

@@ -36,7 +36,7 @@ def gradcheck_instance(rng, eps=1e-3, eta_g=1.0, lambda_model=0.0,
 
     def rectifier_masks(zq):
         w_q = aggregate(w, updates, softmax_weights(zq), eta_g, lambda_model)
-        _, acts = nn._forward_pass(spec, w_q, val.features)
+        _, acts = nn._forward_pass(nn.unpack_params(spec, w_q), val.features)
         return np.hstack([a > 0 for a in acts[1:-1]])
 
     steps = eps * np.eye(len(z))

@@ -121,6 +121,13 @@ class TestCmdRun:
         cfg.write_text(json.dumps({"bogus_field": 1}))
         assert main(["run", "--config", cfg.as_posix()]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--threads", "-2"),
+                                            ("--threads", "0")])
+    def test_bad_override_exit_2(self, tmp_path, small_config, capsys, flag, value):
+        assert main(["run", "--config", str(small_config), flag, value]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCmdGradcheck:
     def test_passes(self, capsys):
@@ -145,6 +152,10 @@ class TestCmdGradcheck:
     def test_eps_out_of_bounds_exit_2(self):
         assert main(["gradcheck", "--eps", "0.5"]) == EXIT_CONFIG
 
+    def test_no_instances_exit_2(self, capsys):
+        assert main(["gradcheck", "--instances", "0"]) == EXIT_CONFIG
+        assert "instances" in capsys.readouterr().err
+
 
 class TestCmdPartition:
     def test_summary(self, tmp_path, small_config, capsys):
@@ -166,10 +177,11 @@ class TestCmdReport:
         assert (rep / "accuracy.svg").exists()
 
     @pytest.mark.parametrize("row", ["0,1", "0,1,x,0.5,0.2,0.2,0.2,0.2,0.2,11111",
-                                     "0,1,1.0,0.5,0.2,0.2,0.2,0.2,0.2,1121"])
+                                     "0,1,1.0,0.5,0.2,0.2,0.2,0.2,0.2,1121", ""])
     def test_malformed_row_exit_3(self, tmp_path, capsys, row):
         path = tmp_path / "h.csv"
-        path.write_text(csv_header(5) + "\n" + row + "\n")
+        # The empty row stands for a file that holds only the header.
+        path.write_text("".join(line + "\n" for line in (csv_header(5), row) if line))
         assert main(["report", "--history", str(path),
                      "--out", str(tmp_path / "rep")]) == EXIT_IO
         assert "line 2" in capsys.readouterr().err

@@ -75,6 +75,14 @@ class TestClientUpdate:
         upd = client_update(spec, params, ds, prof, np.random.default_rng(0))
         assert np.abs(upd.delta).max() < 1e-3
 
+    def test_global_params_unchanged(self, toy_dataset):
+        params = nn.init_model(SPEC, 6)
+        before = params.copy()
+        prof = profile_for(toy_dataset, np.arange(50), lr=0.1, batch=8)
+        upd = client_update(SPEC, params, toy_dataset, prof, np.random.default_rng(2))
+        assert np.any(upd.delta != 0.0)
+        assert np.array_equal(params, before)
+
     def test_non_participation(self, toy_dataset):
         params = nn.init_model(SPEC, 0)
         prof = profile_for(toy_dataset, np.arange(16), p=1e-12)
@@ -200,6 +208,15 @@ class TestRunRound:
             results.append((w_next, rec.val_loss, rec.test_acc))
         assert np.array_equal(results[0][0], results[1][0])
         assert results[0][1:] == results[1][1:]
+
+    def test_global_params_unchanged(self, toy_dataset):
+        profiles, eval_batch = self._setup(toy_dataset)
+        w = nn.init_model(SPEC, 3)
+        before = w.copy()
+        run_round(0, w, SPEC, toy_dataset, profiles, np.full(3, 1 / 3), 1.0, 1e-4,
+                  np.random.SeedSequence([8, 0, 0]), eval_batch, eval_batch,
+                  threads=2)
+        assert np.array_equal(w, before)
 
     def test_single_client_equals_centralized_step(self, toy_dataset):
         shard = Shard(0, np.arange(40))

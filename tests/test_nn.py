@@ -111,7 +111,50 @@ class TestForward:
             nn.forward(spec, np.zeros(3), nn.Batch(np.ones((1, 4)), np.array([0])))
 
 
+def reference_loss_and_grad(spec, params, batch):
+    """Per-layer gradients joined by np.concatenate, on fresh arrays only."""
+    layers = nn.unpack_params(spec, params)
+    acts = [batch.features]
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
+        if i < len(layers) - 1:
+            acts.append(np.maximum(z, 0.0))
+        else:
+            z = z - z.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            acts.append(e / e.sum(axis=1, keepdims=True))
+    probs = acts[-1]
+    n = len(batch)
+    picked = probs[np.arange(n), batch.labels]
+    loss = float(-np.mean(np.log(picked)))
+    delta = probs.copy()
+    delta[np.arange(n), batch.labels] -= 1.0
+    delta /= n
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        grads.append(delta.sum(axis=0))
+        grads.append((acts[i].T @ delta).ravel())
+        if i > 0:
+            delta = delta @ layers[i][0].T
+            delta[acts[i] <= 0.0] = 0.0
+    grads.reverse()
+    return loss, np.concatenate(grads)
+
+
 class TestLossAndGrad:
+    @pytest.mark.parametrize("n", [1, 32, 1000])
+    def test_bitwise_equal_to_reference(self, n):
+        rng = np.random.default_rng(n)
+        spec = nn.ModelSpec((30, 16, 8, 10))
+        params = rng.normal(scale=0.3, size=spec.num_params)
+        batch = nn.Batch(rng.uniform(size=(n, 30)), rng.integers(10, size=n))
+        before = params.copy()
+        loss, grad = nn.loss_and_grad(spec, params, batch)
+        ref_loss, ref_grad = reference_loss_and_grad(spec, params, batch)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(params, before)
+
     def test_zero_params_log_uniform_loss(self):
         spec = nn.ModelSpec((784, 16, 10))
         batch = nn.Batch(np.random.default_rng(2).uniform(size=(5, 784)),
@@ -170,8 +213,16 @@ class TestSgdStep:
     def test_update_formula(self, lr, decay):
         p = np.array([1.0, -2.0, 0.5])
         g = np.array([0.3, 0.1, -0.2])
+        p0, g0 = p.copy(), g.copy()
         out = nn.sgd_step(p, g, lr, decay)
-        assert np.allclose(out, p - lr * (g + decay * p), atol=1e-15)
+        assert np.allclose(out, p0 - lr * (g0 + decay * p0), atol=1e-15)
+        assert np.array_equal(g, g0)
+
+    @pytest.mark.parametrize("decay", [0.0, 0.5])
+    def test_updates_params_in_place(self, decay):
+        p = np.array([1.0, -2.0])
+        out = nn.sgd_step(p, np.array([0.5, 0.5]), 0.1, decay)
+        assert out is p
 
 
 class TestEvaluate:
