@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__, report, synth
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import DATA_PATH_KEYS, ConfigError, ExperimentConfig, parse_config
 from .data import IdxFormatError
 from .experiment import final_test_accuracy, prepare_problem, run_experiment
 from .federation import fedavg_weights
@@ -66,10 +66,10 @@ def cmd_run(args) -> int:
     if logits is not None:
         import hashlib
 
-        # Hash only fields that influence results: out_dir, threads, and
-        # report toggles must not change artifact bytes.
-        echo = {k: v for k, v in cfg.echo().items()
-                if k not in ("out_dir", "threads", "emit_svg")}
+        # Hash only fields that influence results: dataset paths, out_dir,
+        # threads, and report toggles must not change artifact bytes.
+        ignored = (*DATA_PATH_KEYS, "out_dir", "threads", "emit_svg")
+        echo = {k: v for k, v in cfg.echo().items() if k not in ignored}
         digest = hashlib.sha256(
             json.dumps(echo, sort_keys=True).encode()
         ).hexdigest()[:16]

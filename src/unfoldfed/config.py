@@ -1,7 +1,11 @@
-"""Strict JSON experiment configuration.
+"""The experiment configuration: one object, checked on construction.
 
-Unknown fields are rejected outright: a silent typo in an experiment config
-is the main way a reproduction goes wrong.
+`ExperimentConfig` is the one configuration object. The CLI reads it from
+strict JSON, library callers build it directly, and every layer reads its
+fields. It runs `_check` when it is constructed, so a bad value raises the
+same ConfigError whichever way it came in. Unknown JSON fields are rejected
+outright: a silent typo in an experiment config is the main way a
+reproduction goes wrong.
 """
 
 from __future__ import annotations
@@ -12,12 +16,29 @@ import os
 from dataclasses import dataclass, field, fields
 
 from . import nn
-from .data import SETTING_IDS
-from .unfolding import Seeds, UnfoldConfig
+from .data import (
+    COMMUNICATION,
+    COMPUTATION,
+    DEFAULT_EPOCH_LIST,
+    DEFAULT_PARTICIPATION,
+    DEFAULT_SKEW_SIZES,
+    NUM_CLASSES,
+    SETTING_IDS,
+    STATISTICAL,
+)
 
 MODES = ("fedavg", "fixed-uniform", "unfolded")
 
 DATA_PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
+
+SEED_DEFAULTS = {"model": 1, "data": 2, "rounds": 3}
+
+# The per-client list each setting reads, and its default for K <= 5.
+SETTING_LISTS = {
+    STATISTICAL: ("sizes", DEFAULT_SKEW_SIZES),
+    COMPUTATION: ("epoch_list", DEFAULT_EPOCH_LIST),
+    COMMUNICATION: ("participation_list", DEFAULT_PARTICIPATION),
+}
 
 
 class ConfigError(ValueError):
@@ -50,20 +71,17 @@ class ExperimentConfig:
     per_client: int = 1000
     val_size: int = 1000
     layer_dims: list[int] = field(default_factory=lambda: [784, 32, 10])
-    seeds: dict = field(default_factory=lambda: {"model": 1, "data": 2, "rounds": 3})
+    seeds: dict = field(default_factory=lambda: dict(SEED_DEFAULTS))
     threads: int = 1
     emit_svg: bool = True
 
+    def __post_init__(self):
+        if isinstance(self.seeds, dict):  # absent seeds take their defaults
+            self.seeds = {**SEED_DEFAULTS, **self.seeds}
+        _check(self)
+
     def model_spec(self) -> nn.ModelSpec:
         return nn.ModelSpec(tuple(self.layer_dims))
-
-    def unfold_config(self) -> UnfoldConfig:
-        return UnfoldConfig(
-            K=self.K, M=self.M, T=self.T, model=self.model_spec(),
-            eta_g=self.eta_g, eta_meta=self.eta_meta,
-            lambda_model=self.lambda_model, lambda_theta=self.lambda_theta,
-            seeds=Seeds(**self.seeds), threads=self.threads,
-        )
 
     def echo(self) -> dict:
         out = {}
@@ -106,19 +124,28 @@ def _check(cfg: ExperimentConfig) -> None:
         need(name, lambda v: _is_number(v) and v > 0, "a positive number")
     for name in ("eta_meta", "lambda_model", "lambda_theta"):
         need(name, lambda v: _is_number(v) and v >= 0, "a nonnegative number")
-    need("layer_dims", lambda v: _is_list_of(v, positive_int) and len(v) >= 2,
-         "a list of >= 2 positive integers")
+    need("layer_dims",
+         lambda v: _is_list_of(v, positive_int) and len(v) >= 2
+         and v[-1] >= NUM_CLASSES,
+         f"a list of >= 2 positive integers, the last at least {NUM_CLASSES}")
     optional_lists = {
         "sizes": (positive_int, "positive integers"),
         "epoch_list": (positive_int, "positive integers"),
         "participation_list": (lambda p: _is_number(p) and 0 < p <= 1,
                                "numbers in (0, 1]"),
-        "label_map": (lambda row: _is_list_of(row, _is_int), "integer lists"),
+        "label_map": (lambda row: row and _is_list_of(
+            row, lambda c: _is_int(c) and 0 <= c < NUM_CLASSES)
+            and len(set(row)) == len(row),
+            f"nonempty lists of distinct labels in [0, {NUM_CLASSES})"),
     }
     for name, (ok, what) in optional_lists.items():
         need(name, lambda v: v is None or _is_list_of(v, ok) and len(v) == cfg.K,
              f"null or a list of K={cfg.K} {what}")
-    need("seeds", lambda v: set(v) <= {"model", "data", "rounds"},
+    name, default = SETTING_LISTS[cfg.setting]
+    need(name, lambda v: v is not None or cfg.K <= len(default),
+         f"given for setting {cfg.setting!r} with K={cfg.K}: its default "
+         f"covers only {len(default)} clients")
+    need("seeds", lambda v: isinstance(v, dict) and set(v) <= set(SEED_DEFAULTS),
          "an object with keys among model, data, rounds")
     need("seeds", lambda v: all(_is_int(x) and x >= 0 for x in v.values()),
          "an object of nonnegative integers")
@@ -141,15 +168,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    merged = dict(raw)
-    if "seeds" in merged:
-        defaults = {"model": 1, "data": 2, "rounds": 3}
-        if not isinstance(merged["seeds"], dict):
-            raise ConfigError("config field 'seeds': must be an object")
-        defaults.update(merged["seeds"])
-        merged["seeds"] = defaults
-    cfg = ExperimentConfig(**merged)
-    _check(cfg)
+    cfg = ExperimentConfig(**raw)
     for key in DATA_PATH_KEYS:
         setattr(cfg, key, resolve_data_path(getattr(cfg, key)))
     return cfg

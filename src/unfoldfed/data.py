@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -18,6 +22,7 @@ STATISTICAL = "statistical"
 COMPUTATION = "computation"
 COMMUNICATION = "communication"
 SETTING_IDS = (STATISTICAL, COMPUTATION, COMMUNICATION)
+NUM_CLASSES = 10
 
 DEFAULT_SKEW_SIZES = (4000, 500, 500, 500, 500)
 DEFAULT_EPOCH_LIST = (1, 1, 3, 3, 5)
@@ -36,7 +41,6 @@ class DataError(ValueError):
 class Dataset:
     images: np.ndarray  # (N, 784) float64 in [0, 1]
     labels: np.ndarray  # (N,) int64 in [0, 10)
-    split: str = "train"
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
@@ -67,41 +71,6 @@ class ClientProfile:
     local_lr: float
     participation: float
     batch_size: int
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.local_lr < 0:
-            raise ValueError("local_lr must be nonnegative")
-        if not (0.0 < self.participation <= 1.0):
-            raise ValueError("participation must be in (0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class SettingSpec:
-    """Configuration of one heterogeneity setting for K clients."""
-
-    id: str
-    K: int
-    seed: int
-    sizes: tuple[int, ...] | None = None           # statistical skew
-    label_map: tuple[tuple[int, ...], ...] | None = None
-    epoch_list: tuple[int, ...] | None = None      # computation
-    participation_list: tuple[float, ...] | None = None  # communication
-    per_client: int = 1000
-    epochs: int = 1
-
-    def __post_init__(self):
-        if self.id not in SETTING_IDS:
-            raise ValueError(f"unknown setting id {self.id!r}")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        for name in ("sizes", "label_map", "epoch_list", "participation_list"):
-            value = getattr(self, name)
-            if value is not None and len(value) != self.K:
-                raise ValueError(f"{name} length {len(value)} != K={self.K}")
 
 
 def _read_be32(f, what: str) -> int:
@@ -152,34 +121,28 @@ def load_idx_labels(path) -> np.ndarray:
     return labels
 
 
-def load_dataset(images_path, labels_path, split: str = "train") -> Dataset:
+def load_dataset(images_path, labels_path) -> Dataset:
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if len(images) != len(labels):
         raise DataError(
             f"count mismatch: {len(images)} images vs {len(labels)} labels"
         )
-    return Dataset(images.reshape(len(images), -1), labels, split)
+    return Dataset(images.reshape(len(images), -1), labels)
 
 
 def default_label_map(K: int) -> tuple[tuple[int, ...], ...]:
     """Two consecutive labels per client: {0,1} -> c0, {2,3} -> c1, ..."""
-    return tuple(tuple(l % 10 for l in (2 * k, 2 * k + 1)) for k in range(K))
+    return tuple(tuple(l % NUM_CLASSES for l in (2 * k, 2 * k + 1)) for k in range(K))
 
 
-def partition_statistical(data: Dataset, spec: SettingSpec) -> list[Shard]:
-    """Label-skew split: each client draws only from its assigned label set."""
-    if spec.id != STATISTICAL:
-        raise ValueError(f"expected statistical spec, got {spec.id!r}")
-    sizes = spec.sizes if spec.sizes is not None else DEFAULT_SKEW_SIZES[: spec.K]
-    if len(sizes) != spec.K:
-        raise ValueError(f"sizes length {len(sizes)} != K={spec.K}")
-    label_map = spec.label_map if spec.label_map is not None else default_label_map(spec.K)
-    rng = np.random.default_rng(spec.seed)
-    by_label = {c: np.flatnonzero(data.labels == c) for c in range(10)}
+def partition_statistical(data: Dataset, sizes, label_map, seed: int) -> list[Shard]:
+    """Label-skew split: client k draws sizes[k] samples from label_map[k]."""
+    rng = np.random.default_rng(seed)
+    by_label = {c: np.flatnonzero(data.labels == c) for c in range(NUM_CLASSES)}
     remaining = {c: rng.permutation(idx) for c, idx in by_label.items()}
     shards = []
-    for k in range(spec.K):
+    for k in range(len(sizes)):
         labels = label_map[k]
         pool = np.concatenate([remaining[c] for c in labels])
         if len(pool) < sizes[k]:
@@ -226,47 +189,37 @@ def partition_balanced(data: Dataset, K: int, per_client: int, seed: int) -> lis
     ]
 
 
-def make_profiles(
-    spec: SettingSpec,
-    shards: list[Shard],
-    local_lr: float = 0.05,
-    batch_size: int = 32,
-) -> list[ClientProfile]:
-    """Attach per-setting epoch/participation knobs to the shards."""
-    if len(shards) != spec.K:
-        raise ValueError(f"{len(shards)} shards for K={spec.K}")
-    if spec.id == COMPUTATION:
-        epochs = spec.epoch_list if spec.epoch_list is not None else DEFAULT_EPOCH_LIST[: spec.K]
-        participation = (1.0,) * spec.K
-    elif spec.id == COMMUNICATION:
-        epochs = (spec.epochs,) * spec.K
-        participation = (
-            spec.participation_list
-            if spec.participation_list is not None
-            else DEFAULT_PARTICIPATION[: spec.K]
-        )
-    else:
-        epochs = (spec.epochs,) * spec.K
-        participation = (1.0,) * spec.K
-    if len(epochs) != spec.K or len(participation) != spec.K:
-        raise ValueError("per-client parameter list length != K")
+def make_profiles(cfg: ExperimentConfig, shards: list[Shard]) -> list[ClientProfile]:
+    """Attach the setting's per-client epochs and participation to the shards."""
+    if len(shards) != cfg.K:
+        raise ValueError(f"{len(shards)} shards for K={cfg.K}")
+    epochs = [cfg.epochs] * cfg.K
+    participation = [1.0] * cfg.K
+    if cfg.setting == COMPUTATION:
+        epochs = cfg.epoch_list or DEFAULT_EPOCH_LIST
+    elif cfg.setting == COMMUNICATION:
+        participation = cfg.participation_list or DEFAULT_PARTICIPATION
     return [
         ClientProfile(
             shard=shard,
-            epochs=int(epochs[k]),
-            local_lr=local_lr,
+            epochs=epochs[k],
+            local_lr=cfg.local_lr,
             participation=float(participation[k]),
-            batch_size=batch_size,
+            batch_size=cfg.batch_size,
         )
         for k, shard in enumerate(shards)
     ]
 
 
-def partition_for_setting(data: Dataset, spec: SettingSpec) -> list[Shard]:
-    """Dispatch to the partitioner matching the setting id."""
-    if spec.id == STATISTICAL:
-        return partition_statistical(data, spec)
-    return partition_balanced(data, spec.K, spec.per_client, spec.seed)
+def partition_for_setting(data: Dataset, cfg: ExperimentConfig) -> list[Shard]:
+    """Dispatch to the partitioner matching the setting."""
+    seed = cfg.seeds["data"]
+    if cfg.setting == STATISTICAL:
+        return partition_statistical(
+            data, cfg.sizes or DEFAULT_SKEW_SIZES[:cfg.K],
+            cfg.label_map or default_label_map(cfg.K), seed,
+        )
+    return partition_balanced(data, cfg.K, cfg.per_client, seed)
 
 
 def split_validation(data: Dataset, n_val: int, seed: int) -> tuple[Dataset, Dataset]:
@@ -277,6 +230,6 @@ def split_validation(data: Dataset, n_val: int, seed: int) -> tuple[Dataset, Dat
     order = rng.permutation(len(data))
     val_idx, train_idx = np.sort(order[:n_val]), np.sort(order[n_val:])
     return (
-        Dataset(data.images[train_idx], data.labels[train_idx], "train"),
-        Dataset(data.images[val_idx], data.labels[val_idx], "validation"),
+        Dataset(data.images[train_idx], data.labels[train_idx]),
+        Dataset(data.images[val_idx], data.labels[val_idx]),
     )

@@ -8,6 +8,7 @@ index so thread count never changes the result.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,6 +51,13 @@ def check_simplex(theta: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
         raise ValueError(
             f"weights off the simplex: sum={theta.sum():.9g}, min={theta.min():.9g}"
         )
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def client_update(
@@ -134,8 +142,11 @@ def run_round(
     """Execute one full round and evaluate the result.
 
     Each client gets its own generator spawned from `seed_seq` by index, so
-    the outcome is independent of scheduling. Returns the new model, the
-    round record, and the per-client deltas (for the meta-gradient).
+    the outcome is independent of scheduling. The pool never has more
+    threads than clients or usable cores: client training holds the GIL for
+    much of its time, so surplus threads only slow it down. Returns the new
+    model, the round record, and the per-client deltas (for the
+    meta-gradient).
     """
     child_seeds = seed_seq.spawn(len(profiles))
     rngs = [np.random.default_rng(s) for s in child_seeds]
@@ -143,8 +154,9 @@ def run_round(
     def work(k: int) -> ClientUpdate:
         return client_update(spec, global_params, dataset, profiles[k], rngs[k])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(profiles), usable_cores())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             updates = list(pool.map(work, range(len(profiles))))
     else:
         updates = [work(k) for k in range(len(profiles))]

@@ -27,16 +27,14 @@ def fmt(x: float) -> str:
 class RunHistory:
     """Everything a run produced, ready for serialization."""
 
-    config: dict
     K: int
     rounds: list[tuple[int, RoundRecord]]  # (meta_iter, record)
     meta_losses: list[float] = field(default_factory=list)
 
     @staticmethod
-    def from_trace(config: dict, K: int, trace: MetaTrace) -> "RunHistory":
+    def from_trace(K: int, trace: MetaTrace) -> "RunHistory":
         rounds = [(it.m, rec) for it in trace.iterations for rec in it.records]
         return RunHistory(
-            config=config,
             K=K,
             rounds=rounds,
             meta_losses=[it.meta_loss for it in trace.iterations],
@@ -93,7 +91,7 @@ def read_csv(path) -> RunHistory:
             )))
         except ValueError as e:
             raise IdxFormatError(f"{path} line {line}: {e}") from e
-    return RunHistory(config={}, K=K, rounds=records)
+    return RunHistory(K=K, rounds=records)
 
 
 def emit_weights_json(logits: np.ndarray, theta_matrix: np.ndarray, path,

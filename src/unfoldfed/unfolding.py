@@ -10,42 +10,14 @@ round's immediate effect, with a finite-difference oracle alongside.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
+from .config import ExperimentConfig
 from .data import ClientProfile, Dataset
 from .federation import ClientUpdate, RoundRecord, aggregate, run_round
-
-
-@dataclass(frozen=True)
-class Seeds:
-    model: int = 1
-    data: int = 2
-    rounds: int = 3
-
-
-@dataclass(frozen=True)
-class UnfoldConfig:
-    K: int
-    M: int
-    T: int
-    model: nn.ModelSpec
-    eta_g: float = 1.0
-    eta_meta: float = 0.5
-    lambda_model: float = 1e-4
-    lambda_theta: float = 1e-4
-    seeds: Seeds = field(default_factory=Seeds)
-    threads: int = 1
-
-    def __post_init__(self):
-        if min(self.K, self.M, self.T) < 1:
-            raise ValueError("K, M, T must all be >= 1")
-        if self.eta_g <= 0 or self.eta_meta < 0:
-            raise ValueError("eta_g must be positive, eta_meta nonnegative")
-        if self.lambda_model < 0 or self.lambda_theta < 0:
-            raise ValueError("decay coefficients must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -138,7 +110,8 @@ def meta_step(
 
 
 def rollout(
-    cfg: UnfoldConfig,
+    cfg: ExperimentConfig,
+    spec: nn.ModelSpec,
     dataset: Dataset,
     profiles: list[ClientProfile],
     val: nn.Batch,
@@ -149,22 +122,23 @@ def rollout(
 ) -> Iterator[tuple[np.ndarray, RoundRecord, list[np.ndarray]]]:
     """The T rounds of meta-iteration m from `w0`, round t weighted by thetas[t].
 
-    Round t is seeded from (seeds.rounds, m, t) only. Yields (w_next, record,
+    `spec` is `cfg.model_spec()`, built once per run by the caller. Round t
+    is seeded from (seeds["rounds"], m, t) only. Yields (w_next, record,
     deltas) round by round, so only one round's K client deltas are alive.
     """
     w = w0
     for t in range(cfg.T):
         w, rec, deltas = run_round(
-            t, w, cfg.model, dataset, profiles, thetas[t],
+            t, w, spec, dataset, profiles, thetas[t],
             cfg.eta_g, cfg.lambda_model,
-            np.random.SeedSequence([cfg.seeds.rounds, m, t]),
+            np.random.SeedSequence([cfg.seeds["rounds"], m, t]),
             val, test, threads=cfg.threads,
         )
         yield w, rec, deltas
 
 
 def unfold_train(
-    cfg: UnfoldConfig,
+    cfg: ExperimentConfig,
     dataset: Dataset,
     profiles: list[ClientProfile],
     val: nn.Batch,
@@ -189,7 +163,8 @@ def unfold_train(
 
     if len(profiles) != cfg.K:
         raise ValueError(f"{len(profiles)} profiles for K={cfg.K}")
-    w0 = nn.init_model(cfg.model, cfg.seeds.model)
+    spec = cfg.model_spec()
+    w0 = nn.init_model(spec, cfg.seeds["model"])
     z = np.zeros((cfg.T, cfg.K)) if start_logits is None \
         else np.array(start_logits, dtype=np.float64)
     if z.shape != (cfg.T, cfg.K):
@@ -203,12 +178,12 @@ def unfold_train(
         row_grads = np.zeros((cfg.T, cfg.K))
         meta_loss = 0.0
         records: list[RoundRecord] = []
-        rounds = rollout(cfg, dataset, profiles, val, test, w0, thetas, m)
+        rounds = rollout(cfg, spec, dataset, profiles, val, test, w0, thetas, m)
         for w_next, rec, deltas in rounds:
             meta_loss += rec.val_loss
             if fixed_theta is None:
                 row_grads[rec.round] = meta_gradient_row(
-                    cfg.model, z[rec.round], deltas, w_next, val, cfg.eta_g,
+                    spec, z[rec.round], deltas, w_next, val, cfg.eta_g,
                 )
             records.append(rec)
         if not np.isfinite(meta_loss):
@@ -222,7 +197,7 @@ def unfold_train(
 
 
 def trajectory_meta_loss(
-    cfg: UnfoldConfig,
+    cfg: ExperimentConfig,
     dataset: Dataset,
     profiles: list[ClientProfile],
     val: nn.Batch,
@@ -235,7 +210,8 @@ def trajectory_meta_loss(
     Finite differences over this function give the full (untruncated)
     meta-gradient; slow, used only as a diagnostic for the truncation gap.
     """
-    w0 = nn.init_model(cfg.model, cfg.seeds.model)
+    spec = cfg.model_spec()
+    w0 = nn.init_model(spec, cfg.seeds["model"])
     thetas = [softmax_weights(row) for row in z]
-    rounds = rollout(cfg, dataset, profiles, val, test, w0, thetas, m)
+    rounds = rollout(cfg, spec, dataset, profiles, val, test, w0, thetas, m)
     return sum(rec.val_loss for _, rec, _ in rounds)

@@ -24,7 +24,7 @@ def toy_dataset():
         centers[labels] + rng.normal(scale=0.1, size=(len(labels), 20)), 0.0, 1.0
     )
     order = rng.permutation(len(labels))
-    return Dataset(images[order], labels[order], "train")
+    return Dataset(images[order], labels[order])
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import pytest
 
 from unfoldfed import nn, synth
 from unfoldfed.cli import EXIT_OK, main
-from unfoldfed.config import from_dict
+from unfoldfed.config import ExperimentConfig, from_dict
 from unfoldfed.data import (
     IdxFormatError,
     Shard,
@@ -25,12 +25,7 @@ from unfoldfed.data import (
     split_validation,
 )
 from unfoldfed.experiment import final_test_accuracy, prepare_problem, run_experiment
-from unfoldfed.unfolding import (
-    Seeds,
-    UnfoldConfig,
-    softmax_weights,
-    unfold_train,
-)
+from unfoldfed.unfolding import softmax_weights, unfold_train
 from unfoldfed.verify import run_gradcheck
 from tests.test_nn import fd_gradient
 
@@ -135,14 +130,13 @@ def test_criterion_4_simplex_and_shift_invariance(desk_paths, desk_runs):
     # Shifted-logits twin at reduced meta budget.
     cfg = from_dict(desk_config(desk_paths, 11, M=10))
     problem = prepare_problem(cfg)
-    ucfg = cfg.unfold_config()
     start = np.zeros((cfg.T, cfg.K))
     shifted = start.copy()
     shifted[3] += 7.3
-    _, t1 = unfold_train(ucfg, problem.train, problem.profiles,
+    _, t1 = unfold_train(cfg, problem.train, problem.profiles,
                          problem.val_batch, problem.test_batch,
                          start_logits=start)
-    _, t2 = unfold_train(ucfg, problem.train, problem.profiles,
+    _, t2 = unfold_train(cfg, problem.train, problem.profiles,
                          problem.val_batch, problem.test_batch,
                          start_logits=shifted)
     for a, b in zip(t1.iterations, t2.iterations):
@@ -166,10 +160,11 @@ def test_criterion_5_homogeneity_yields_uniform_weights(desk_paths):
                       epochs=1, local_lr=0.05, participation=1.0, batch_size=32)
         for k in range(5)
     ]
-    spec = nn.ModelSpec((784, 32, 10))
     for seed in SEEDS:
-        cfg = UnfoldConfig(K=5, M=50, T=10, model=spec, lambda_theta=1e-4,
-                           seeds=Seeds(seed, seed + 1, seed + 2))
+        cfg = ExperimentConfig(K=5, M=50, T=10, layer_dims=[784, 32, 10],
+                               lambda_theta=1e-4,
+                               seeds={"model": seed, "data": seed + 1,
+                                      "rounds": seed + 2})
         logits, _ = unfold_train(
             cfg, train, profiles,
             nn.Batch(val.images, val.labels),

@@ -1,10 +1,12 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from unfoldfed.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
-from unfoldfed.config import ConfigError, from_dict, parse_config
+from unfoldfed.config import ConfigError, ExperimentConfig, from_dict, parse_config
+from unfoldfed.experiment import prepare_problem
 from unfoldfed.report import csv_header
 
 
@@ -69,6 +71,35 @@ class TestParseConfig:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error")
 
+    @pytest.mark.parametrize("raw,field", [
+        ({"setting": "statistical", "K": 6}, "sizes"),
+        ({"setting": "computation", "K": 6}, "epoch_list"),
+        ({"setting": "communication", "K": 6}, "participation_list"),
+        ({"label_map": [[0, 12], [2, 3], [4, 5], [6, 7], [8, 9]]}, "label_map"),
+        ({"label_map": [[], [2, 3], [4, 5], [6, 7], [8, 9]]}, "label_map"),
+        ({"label_map": [[0, 0], [2, 3], [4, 5], [6, 7], [8, 9]]}, "label_map"),
+        ({"layer_dims": [784, 32, 5]}, "layer_dims"),
+    ], ids=["stat-K6", "comp-K6", "comm-K6", "label-12", "empty-row",
+            "repeated-label", "classes-5"])
+    def test_unusable_value_exit_2(self, tmp_path, capsys, raw, field):
+        with pytest.raises(ConfigError, match=repr(field)) as parsed:
+            from_dict(raw)
+        with pytest.raises(ConfigError) as built:
+            ExperimentConfig(**raw)
+        assert str(built.value) == str(parsed.value)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+
+    def test_input_width_mismatch_exit_2(self, tmp_path, small_config, capsys):
+        raw = dict(json.loads(small_config.read_text()), layer_dims=[100, 32, 10])
+        with pytest.raises(ConfigError, match="'layer_dims'"):
+            prepare_problem(from_dict(raw))
+        small_config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(small_config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+
     def test_env_root_fallback(self, tmp_path, synth_paths, monkeypatch):
         import os
         root = os.path.dirname(str(synth_paths["train_images"]))
@@ -77,6 +108,28 @@ class TestParseConfig:
         cfg = from_dict({**raw, "setting": "statistical"})
         assert os.path.isabs(cfg.train_images)
         assert os.path.exists(cfg.train_images)
+
+
+class TestExperimentConfig:
+    """Direct construction runs the same checks as a JSON config."""
+
+    def test_bounds(self):
+        with pytest.raises(ConfigError, match="'K'"):
+            ExperimentConfig(K=0)
+        with pytest.raises(ConfigError, match="'eta_g'"):
+            ExperimentConfig(K=1, eta_g=0.0)
+
+    def test_unknown_id_rejected(self):
+        with pytest.raises(ConfigError, match="'setting'"):
+            ExperimentConfig(setting="weird")
+
+    def test_list_length_checked(self):
+        with pytest.raises(ConfigError, match="'epoch_list'"):
+            ExperimentConfig(setting="computation", epoch_list=[1, 2])
+
+    def test_partial_seeds_take_defaults(self):
+        assert ExperimentConfig(seeds={"data": 7}).seeds == \
+            {"model": 1, "data": 7, "rounds": 3}
 
 
 class TestCmdRun:
@@ -107,6 +160,22 @@ class TestCmdRun:
         rows = (tmp_path / "fixed-uniform" / "history.csv").read_text().splitlines()
         for row in rows[1:]:
             assert [float(v) for v in row.split(",")[4:9]] == [0.2] * 5
+
+    def test_weights_json_independent_of_data_dir(self, tmp_path, small_config,
+                                                  synth_paths):
+        raw = json.loads(small_config.read_text())
+        outs = []
+        for name in ("a", "b"):
+            data_dir = tmp_path / f"data-{name}"
+            data_dir.mkdir()
+            for key, src in synth_paths.items():
+                raw[key] = shutil.copy(src, data_dir)
+            raw["out_dir"] = str(tmp_path / f"out-{name}")
+            small_config.write_text(json.dumps(raw))
+            assert main(["run", "--config", str(small_config)]) == EXIT_OK
+            outs.append(tmp_path / f"out-{name}")
+        for name in ("history.csv", "weights.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_missing_data_file_exit_3(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -139,7 +208,7 @@ class TestCmdGradcheck:
         assert "FAIL" in capsys.readouterr().out
 
     def test_every_seed_passes_and_sign_corruption_fails(self, capsys):
-        # Seeds 7, 16 and 98 each draw one case whose FD points cross a
+        # At seeds 7, 16 and 98 one case has FD points that cross a
         # rectifier kink; it is redrawn instead of failing a correct gradient.
         for seed in range(100):
             assert main(["gradcheck", "--seed", str(seed)]) == EXIT_OK, seed

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from unfoldfed import data, synth
+from unfoldfed.config import ExperimentConfig
 from unfoldfed.data import (
     COMMUNICATION,
     COMPUTATION,
     STATISTICAL,
     DataError,
     IdxFormatError,
-    SettingSpec,
+    default_label_map,
     load_idx_images,
     load_idx_labels,
     make_profiles,
@@ -78,8 +79,8 @@ class TestIdxParsing:
 
 class TestPartitionStatistical:
     def test_two_labels_per_client(self, toy_dataset):
-        spec = SettingSpec(id=STATISTICAL, K=5, seed=0, sizes=(100,) * 5)
-        shards = partition_statistical(toy_dataset, spec)
+        shards = partition_statistical(toy_dataset, (100,) * 5,
+                                       default_label_map(5), seed=0)
         seen = set()
         for k, shard in enumerate(shards):
             assert shard.size == 100
@@ -90,23 +91,22 @@ class TestPartitionStatistical:
 
     def test_default_skew_weights(self, synth_paths):
         ds = data.load_dataset(synth_paths["train_images"], synth_paths["train_labels"])
-        spec = SettingSpec(id=STATISTICAL, K=5, seed=1, sizes=(200, 25, 25, 25, 25))
-        shards = partition_statistical(ds, spec)
+        shards = partition_statistical(ds, (200, 25, 25, 25, 25),
+                                       default_label_map(5), seed=1)
         # Same 8:1 ratio as the default [4000, 500, 500, 500, 500] split.
         theta = fedavg_weights(shards)
         assert np.allclose(theta, [2 / 3, 1 / 12, 1 / 12, 1 / 12, 1 / 12], atol=1e-3)
 
     def test_deterministic(self, toy_dataset):
-        spec = SettingSpec(id=STATISTICAL, K=5, seed=7, sizes=(50,) * 5)
-        a = partition_statistical(toy_dataset, spec)
-        b = partition_statistical(toy_dataset, spec)
+        a = partition_statistical(toy_dataset, (50,) * 5, default_label_map(5), 7)
+        b = partition_statistical(toy_dataset, (50,) * 5, default_label_map(5), 7)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.indices, sb.indices)
 
     def test_oversized_request_rejected(self, toy_dataset):
-        spec = SettingSpec(id=STATISTICAL, K=5, seed=0, sizes=(10**6, 1, 1, 1, 1))
         with pytest.raises(ValueError, match="available"):
-            partition_statistical(toy_dataset, spec)
+            partition_statistical(toy_dataset, (10**6, 1, 1, 1, 1),
+                                  default_label_map(5), seed=0)
 
 
 class TestPartitionBalanced:
@@ -132,29 +132,26 @@ class TestMakeProfiles:
         return partition_balanced(dataset, K=K, per_client=20, seed=0)
 
     def test_computation_epoch_list(self, toy_dataset):
-        spec = SettingSpec(id=COMPUTATION, K=5, seed=0, epoch_list=(1, 1, 3, 3, 5))
-        profiles = make_profiles(spec, self._shards(toy_dataset))
+        cfg = ExperimentConfig(setting=COMPUTATION, epoch_list=[1, 1, 3, 3, 5])
+        profiles = make_profiles(cfg, self._shards(toy_dataset))
         assert [p.epochs for p in profiles] == [1, 1, 3, 3, 5]
         assert all(p.participation == 1.0 for p in profiles)
 
     def test_statistical_full_participation(self, toy_dataset):
-        spec = SettingSpec(id=STATISTICAL, K=5, seed=0, sizes=(20,) * 5)
-        profiles = make_profiles(spec, self._shards(toy_dataset))
+        cfg = ExperimentConfig(setting=STATISTICAL, sizes=[20] * 5)
+        profiles = make_profiles(cfg, self._shards(toy_dataset))
         assert all(p.participation == 1.0 for p in profiles)
         assert len({p.epochs for p in profiles}) == 1
 
     def test_communication_participation_list(self, toy_dataset):
-        spec = SettingSpec(
-            id=COMMUNICATION, K=5, seed=0,
-            participation_list=(1.0, 1.0, 0.8, 0.6, 0.4),
-        )
-        profiles = make_profiles(spec, self._shards(toy_dataset))
+        cfg = ExperimentConfig(setting=COMMUNICATION,
+                               participation_list=[1.0, 1.0, 0.8, 0.6, 0.4])
+        profiles = make_profiles(cfg, self._shards(toy_dataset))
         assert [p.participation for p in profiles] == [1.0, 1.0, 0.8, 0.6, 0.4]
 
     def test_length_mismatch_rejected(self, toy_dataset):
-        spec = SettingSpec(id=STATISTICAL, K=5, seed=0)
         with pytest.raises(ValueError):
-            make_profiles(spec, self._shards(toy_dataset)[:3])
+            make_profiles(ExperimentConfig(K=5), self._shards(toy_dataset)[:3])
 
 
 class TestSplitValidation:
@@ -162,7 +159,6 @@ class TestSplitValidation:
         train, val = split_validation(toy_dataset, 100, seed=0)
         assert len(val) == 100
         assert len(train) == len(toy_dataset) - 100
-        assert val.split == "validation"
 
     def test_deterministic(self, toy_dataset):
         a_train, a_val = split_validation(toy_dataset, 50, seed=9)
@@ -173,13 +169,3 @@ class TestSplitValidation:
     def test_out_of_range_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
             split_validation(toy_dataset, len(toy_dataset), seed=0)
-
-
-class TestSettingSpec:
-    def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError):
-            SettingSpec(id="weird", K=5, seed=0)
-
-    def test_list_length_checked(self):
-        with pytest.raises(ValueError):
-            SettingSpec(id=COMPUTATION, K=5, seed=0, epoch_list=(1, 2))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from unfoldfed import nn
-from unfoldfed.data import ClientProfile, Shard, SettingSpec, STATISTICAL, make_profiles, partition_balanced
+from unfoldfed.config import ExperimentConfig
+from unfoldfed.data import ClientProfile, Shard, make_profiles, partition_balanced
 from unfoldfed.federation import (
     ClientUpdate,
     aggregate,
@@ -177,8 +178,8 @@ def reference_fedavg_round(spec, w, dataset, profiles, theta, eta_g, seed_seq):
 class TestRunRound:
     def _setup(self, toy_dataset, K=3):
         shards = partition_balanced(toy_dataset, K=K, per_client=30, seed=2)
-        spec = SettingSpec(id=STATISTICAL, K=K, seed=2, sizes=(30,) * K)
-        profiles = make_profiles(spec, shards, local_lr=0.05, batch_size=10)
+        cfg = ExperimentConfig(K=K, local_lr=0.05, batch_size=10)
+        profiles = make_profiles(cfg, shards)
         eval_batch = nn.Batch(toy_dataset.images[:50], toy_dataset.labels[:50])
         return profiles, eval_batch
 

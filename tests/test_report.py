@@ -33,13 +33,13 @@ def make_history(n_meta=1, n_rounds=2, K=2):
                         test_acc=0.5 + 0.01 * t))
         for m in range(n_meta) for t in range(n_rounds)
     ]
-    return RunHistory(config={}, K=K, rounds=rounds)
+    return RunHistory(K=K, rounds=rounds)
 
 
 class TestEmitCsv:
     def test_empty_history_header_only(self, tmp_path):
         path = tmp_path / "h.csv"
-        emit_csv(RunHistory(config={}, K=3, rounds=[]), path)
+        emit_csv(RunHistory(K=3, rounds=[]), path)
         assert path.read_text() == csv_header(3) + "\n"
 
     def test_row_count(self, tmp_path):
@@ -61,13 +61,13 @@ class TestEmitCsv:
         rec = RoundRecord(rec.round, rec.theta, rec.local_losses,
                           np.array([True, False, True]), rec.val_loss, rec.test_acc)
         path = tmp_path / "h.csv"
-        emit_csv(RunHistory(config={}, K=3, rounds=[(0, rec)]), path)
+        emit_csv(RunHistory(K=3, rounds=[(0, rec)]), path)
         assert path.read_text().splitlines()[1].endswith(",101")
 
     def test_read_csv_round_trip(self, tmp_path):
         rec = RoundRecord(4, np.array([0.125, 0.375, 0.5]), np.full(3, 0.9),
                           np.array([True, False, True]), 1.25, 0.875)
-        history = RunHistory(config={}, K=3, rounds=[(7, rec), (8, rec)])
+        history = RunHistory(K=3, rounds=[(7, rec), (8, rec)])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(history, a)
         back = read_csv(a)
@@ -135,7 +135,7 @@ class TestRenderSvg:
 
     def test_empty_history_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            render_svg(RunHistory(config={}, K=2, rounds=[]), "loss",
+            render_svg(RunHistory(K=2, rounds=[]), "loss",
                        tmp_path / "x.svg")
 
     def test_unknown_kind_rejected(self, tmp_path):

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unfoldfed import nn
-from unfoldfed.data import STATISTICAL, SettingSpec, make_profiles, partition_balanced
+from unfoldfed.config import ExperimentConfig
+from unfoldfed.data import make_profiles, partition_balanced
 from unfoldfed.unfolding import (
-    Seeds,
-    UnfoldConfig,
     fd_meta_gradient_row,
     meta_gradient_row,
     meta_step,
+    rollout,
     softmax_weights,
     trajectory_meta_loss,
     unfold_train,
@@ -24,8 +24,8 @@ SPEC = nn.ModelSpec((20, 8, 10))
 
 def small_problem(toy_dataset, K=3, per_client=30):
     shards = partition_balanced(toy_dataset, K=K, per_client=per_client, seed=1)
-    sspec = SettingSpec(id=STATISTICAL, K=K, seed=1, sizes=(per_client,) * K)
-    profiles = make_profiles(sspec, shards, local_lr=0.05, batch_size=10)
+    cfg = ExperimentConfig(K=K, local_lr=0.05, batch_size=10)
+    profiles = make_profiles(cfg, shards)
     val = nn.Batch(toy_dataset.images[500:560], toy_dataset.labels[500:560])
     test = nn.Batch(toy_dataset.images[440:500], toy_dataset.labels[440:500])
     return profiles, val, test
@@ -126,20 +126,13 @@ class TestMetaStep:
             meta_step(np.zeros((2, 3)), np.zeros((3, 2)), 0.1, 0.0)
 
 
-class TestUnfoldConfig:
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            UnfoldConfig(K=0, M=1, T=1, model=SPEC)
-        with pytest.raises(ValueError):
-            UnfoldConfig(K=1, M=1, T=1, model=SPEC, eta_g=0.0)
-
-
 class TestUnfoldTrain:
     def _cfg(self, K=3, M=2, T=3, **kw):
-        base = dict(K=K, M=M, T=T, model=SPEC, eta_meta=0.5,
-                    lambda_model=0.0, lambda_theta=0.0, seeds=Seeds(1, 2, 3))
+        base = dict(K=K, M=M, T=T, layer_dims=list(SPEC.layer_dims),
+                    eta_meta=0.5, lambda_model=0.0, lambda_theta=0.0,
+                    seeds={"model": 1, "data": 2, "rounds": 3})
         base.update(kw)
-        return UnfoldConfig(**base)
+        return ExperimentConfig(**base)
 
     def test_shape_contract(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset, K=5)
@@ -214,6 +207,11 @@ class TestUnfoldTrain:
         cfg = self._cfg(M=1, T=2, eta_meta=0.0)
         logits, trace = unfold_train(cfg, toy_dataset, profiles, val, test)
         z = trace.iterations[0].logits
+        w0 = nn.init_model(SPEC, cfg.seeds["model"])
+        thetas = [softmax_weights(row) for row in z]
+        w1, _, deltas = next(rollout(cfg, SPEC, toy_dataset, profiles, val, test,
+                                     w0, thetas, m=0))
+        row = meta_gradient_row(SPEC, z[0], deltas, w1, val, cfg.eta_g)
         eps = 1e-2
         fd_full = np.empty(3)
         for j in range(3):
@@ -225,6 +223,7 @@ class TestUnfoldTrain:
                 - trajectory_meta_loss(cfg, toy_dataset, profiles, val, test, zm)
             ) / (2 * eps)
         assert np.all(np.isfinite(fd_full))
+        assert np.array_equal(np.sign(fd_full), np.sign(row)), (fd_full, row)
 
     def test_profile_count_checked(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
