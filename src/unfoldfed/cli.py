@@ -66,9 +66,9 @@ def cmd_run(args) -> int:
     if logits is not None:
         import hashlib
 
-        # Hash only fields that influence results: dataset paths, out_dir,
-        # threads, and report toggles must not change artifact bytes.
-        ignored = (*DATA_PATH_KEYS, "out_dir", "threads", "emit_svg")
+        # Hash only fields that influence results: dataset paths, out_dir
+        # and threads must not change artifact bytes.
+        ignored = (*DATA_PATH_KEYS, "out_dir", "threads")
         echo = {k: v for k, v in cfg.echo().items() if k not in ignored}
         digest = hashlib.sha256(
             json.dumps(echo, sort_keys=True).encode()
@@ -77,9 +77,8 @@ def cmd_run(args) -> int:
             logits, theta_matrix, os.path.join(cfg.out_dir, "weights.json"),
             config_hash=digest,
         )
-    if cfg.emit_svg:
-        for kind in ("accuracy", "loss", "weights"):
-            report.render_svg(history, kind, os.path.join(cfg.out_dir, f"{kind}.svg"))
+    for kind in ("accuracy", "loss", "weights"):
+        report.render_svg(history, kind, os.path.join(cfg.out_dir, f"{kind}.svg"))
     _write_manifest(cfg, cfg.out_dir)
     elapsed = time.perf_counter() - t0
     print(f"mode={cfg.mode} final_test_accuracy={final_test_accuracy(history):.4f} "
@@ -140,6 +139,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    for flag, count in (("--train-per-class", args.train_per_class),
+                        ("--test-per-class", args.test_per_class)):
+        if count < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {count}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     paths = synth.write_dataset(
         args.out, args.train_per_class, args.test_per_class, args.seed
     )
@@ -160,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--mode", choices=("fedavg", "fixed-uniform", "unfolded"))
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--threads", type=int, help="client worker threads")
+        p.add_argument("--threads", type=int,
+                       help="accepted for old configs; clients always train "
+                            "in index order on one thread")
         p.add_argument("--seed", type=int, help="override all config seeds")
 
     p_run = sub.add_parser("run", help="execute the configured experiment")

@@ -72,8 +72,7 @@ class ExperimentConfig:
     val_size: int = 1000
     layer_dims: list[int] = field(default_factory=lambda: [784, 32, 10])
     seeds: dict = field(default_factory=lambda: dict(SEED_DEFAULTS))
-    threads: int = 1
-    emit_svg: bool = True
+    threads: int = 1  # checked and echoed only: clients train on one thread
 
     def __post_init__(self):
         if isinstance(self.seeds, dict):  # absent seeds take their defaults
@@ -114,7 +113,6 @@ def _check(cfg: ExperimentConfig) -> None:
 
     for name in DATA_PATH_KEYS + ("out_dir",):
         need(name, lambda v: isinstance(v, str), "a string")
-    need("emit_svg", lambda v: isinstance(v, bool), "true or false")
     need("mode", lambda v: v in MODES, f"one of {MODES}")
     need("setting", lambda v: v in SETTING_IDS, f"one of {SETTING_IDS}")
     for name in ("K", "M", "T", "batch_size", "epochs", "per_client",

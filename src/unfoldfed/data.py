@@ -30,11 +30,7 @@ DEFAULT_PARTICIPATION = (1.0, 1.0, 0.8, 0.6, 0.4)
 
 
 class IdxFormatError(ValueError):
-    """Raised for malformed IDX files (bad magic, truncation, bad counts)."""
-
-
-class DataError(ValueError):
-    """Raised for structurally valid files with out-of-range contents."""
+    """Raised for malformed IDX data: bad magic, truncation, bad counts or labels."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ def load_idx_labels(path) -> np.ndarray:
         )
     labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
     if labels.size and labels.max() > 9:
-        raise DataError(f"label out of range [0, 10) in {path}: {labels.max()}")
+        raise IdxFormatError(f"label out of range [0, 10) in {path}: {labels.max()}")
     return labels
 
 
@@ -125,7 +121,7 @@ def load_dataset(images_path, labels_path) -> Dataset:
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if len(images) != len(labels):
-        raise DataError(
+        raise IdxFormatError(
             f"count mismatch: {len(images)} images vs {len(labels)} labels"
         )
     return Dataset(images.reshape(len(images), -1), labels)

@@ -9,6 +9,7 @@ import numpy as np
 from . import nn
 from .config import ConfigError, ExperimentConfig
 from .data import (
+    STATISTICAL,
     Dataset,
     load_dataset,
     make_profiles,
@@ -40,8 +41,16 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
                 f"config field 'layer_dims': input width {cfg.layer_dims[0]} "
                 f"does not match the {ds.images.shape[1]}-pixel images in {path}"
             )
-    train, val = split_validation(full_train, cfg.val_size, cfg.seeds["data"])
-    shards = partition_for_setting(train, cfg)
+    # A value the data cannot satisfy is an error in the field that asked for it.
+    try:
+        train, val = split_validation(full_train, cfg.val_size, cfg.seeds["data"])
+    except ValueError as e:
+        raise ConfigError(f"config field 'val_size': {e}") from e
+    try:
+        shards = partition_for_setting(train, cfg)
+    except ValueError as e:
+        name = "sizes" if cfg.setting == STATISTICAL else "per_client"
+        raise ConfigError(f"config field {name!r}: {e}") from e
     profiles = make_profiles(cfg, shards)
     return Problem(
         train=train,

@@ -2,14 +2,11 @@
 
 The server update is w <- w + eta_g * sum_k theta_k * delta_k - lambda * w,
 so the map from weights to the next model is affine in theta at fixed deltas.
-Client work can run on a thread pool; the reduction order is fixed by client
-index so thread count never changes the result.
+Clients train one after another in index order on the calling thread.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +50,6 @@ def check_simplex(theta: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
         )
 
 
-def usable_cores() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def client_update(
     spec: nn.ModelSpec,
     global_params: np.ndarray,
@@ -90,8 +80,7 @@ def client_update(
             batch = nn.Batch(dataset.images[rows], dataset.labels[rows])
             loss, grad = nn.loss_and_grad(spec, params, batch)
             losses.append(loss)
-            if profile.local_lr > 0:
-                params = nn.sgd_step(params, grad, profile.local_lr)
+            params = nn.sgd_step(params, grad, profile.local_lr)
         last_epoch_losses = losses
     return ClientUpdate(
         delta=params - global_params,
@@ -137,29 +126,18 @@ def run_round(
     seed_seq: np.random.SeedSequence,
     val: nn.Batch,
     test: nn.Batch,
-    threads: int = 1,
 ) -> tuple[np.ndarray, RoundRecord, list[np.ndarray]]:
     """Execute one full round and evaluate the result.
 
-    Each client gets its own generator spawned from `seed_seq` by index, so
-    the outcome is independent of scheduling. The pool never has more
-    threads than clients or usable cores: client training holds the GIL for
-    much of its time, so surplus threads only slow it down. Returns the new
-    model, the round record, and the per-client deltas (for the
-    meta-gradient).
+    Clients train in index order, each with its own generator spawned from
+    `seed_seq` by index. Returns the new model, the round record, and the
+    per-client deltas (for the meta-gradient).
     """
     child_seeds = seed_seq.spawn(len(profiles))
-    rngs = [np.random.default_rng(s) for s in child_seeds]
-
-    def work(k: int) -> ClientUpdate:
-        return client_update(spec, global_params, dataset, profiles[k], rngs[k])
-
-    workers = min(threads, len(profiles), usable_cores())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            updates = list(pool.map(work, range(len(profiles))))
-    else:
-        updates = [work(k) for k in range(len(profiles))]
+    updates = [
+        client_update(spec, global_params, dataset, profile, np.random.default_rng(s))
+        for profile, s in zip(profiles, child_seeds)
+    ]
 
     new_params = aggregate(global_params, updates, theta, eta_g, lambda_model)
     val_loss, _ = nn.evaluate(spec, new_params, val)

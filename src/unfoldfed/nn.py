@@ -148,8 +148,8 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[fl
     return loss, grad
 
 
-def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float, decay: float = 0.0) -> np.ndarray:
-    """One step of SGD with weight decay, in place: p -= lr * (g + decay * p).
+def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+    """One step of SGD, in place: p -= lr * g.
 
     `params` is overwritten with the new parameters and returned; `grad` is
     not changed. A caller that still needs the old parameters copies them
@@ -159,12 +159,7 @@ def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float, decay: float = 0.0
         raise ValueError(f"shape mismatch: {params.shape} vs {grad.shape}")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    if decay < 0:
-        raise ValueError("decay must be nonnegative")
-    if decay:
-        params -= lr * (grad + decay * params)
-    else:
-        params -= lr * grad
+    params -= lr * grad
     return params
 
 

@@ -132,7 +132,7 @@ def rollout(
             t, w, spec, dataset, profiles, thetas[t],
             cfg.eta_g, cfg.lambda_model,
             np.random.SeedSequence([cfg.seeds["rounds"], m, t]),
-            val, test, threads=cfg.threads,
+            val, test,
         )
         yield w, rec, deltas
 

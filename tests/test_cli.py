@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from unfoldfed import data, synth
 from unfoldfed.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from unfoldfed.config import ConfigError, ExperimentConfig, from_dict, parse_config
 from unfoldfed.experiment import prepare_problem
@@ -100,6 +101,29 @@ class TestParseConfig:
         assert main(["run", "--config", str(small_config)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error")
 
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    @pytest.mark.parametrize("raw,field", [
+        ({"val_size": 100000}, "val_size"),
+        ({"setting": "computation", "per_client": 1000}, "per_client"),
+        ({"setting": "computation", "per_client": 216}, "per_client"),
+        ({"sizes": [4000, 60, 60, 60, 60]}, "sizes"),
+    ], ids=["val-above-N", "K-x-per-client-above-N", "label-short", "sizes-above-pool"])
+    def test_value_the_data_cannot_satisfy_exit_2(self, small_config, capsys,
+                                                  command, raw, field):
+        raw = dict(json.loads(small_config.read_text()), **raw)
+        with pytest.raises(ConfigError, match=repr(field)):
+            prepare_problem(from_dict(raw))
+        small_config.write_text(json.dumps(raw))
+        assert main([command, "--config", str(small_config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and repr(field) in err
+
+    def test_emit_svg_is_an_unknown_field(self, small_config, capsys):
+        raw = dict(json.loads(small_config.read_text()), emit_svg=False)
+        small_config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(small_config)]) == EXIT_CONFIG
+        assert "emit_svg" in capsys.readouterr().err
+
     def test_env_root_fallback(self, tmp_path, synth_paths, monkeypatch):
         import os
         root = os.path.dirname(str(synth_paths["train_images"]))
@@ -185,6 +209,29 @@ class TestCmdRun:
         }))
         assert main(["run", "--config", cfg.as_posix()]) == EXIT_IO
 
+    @pytest.mark.parametrize("case", ["label-12", "100-images-for-1200-labels"])
+    def test_malformed_data_contents_exit_3(self, tmp_path, small_config, capsys,
+                                            case):
+        raw = json.loads(small_config.read_text())
+        if case == "label-12":
+            labels = data.load_idx_labels(raw["train_labels"])
+            labels[0] = 12
+            raw["train_labels"] = str(tmp_path / "labels")
+            synth.write_idx_labels(raw["train_labels"], labels)
+        else:
+            raw["train_images"] = str(tmp_path / "images")
+            synth.write_idx_images(raw["train_images"],
+                                   np.zeros((100, 28, 28), dtype=np.uint8))
+        small_config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(small_config)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error")
+
+    def test_threads_accepted_and_echoed(self, tmp_path, small_config):
+        assert main(["run", "--config", str(small_config), "--threads", "2"]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["threads"] == 2
+        assert "emit_svg" not in manifest["config"]
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"bogus_field": 1}))
@@ -257,6 +304,18 @@ class TestCmdReport:
 
 
 class TestCmdSynth:
+    @pytest.mark.parametrize("flag,value", [
+        ("--train-per-class", "-1"), ("--train-per-class", "0"),
+        ("--test-per-class", "0"), ("--seed", "-1"),
+    ])
+    def test_bad_argument_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--train-per-class", "5",
+                     "--test-per-class", "2", flag, value]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and flag in err
+        assert not out.exists()
+
     def test_writes_parsable_files(self, tmp_path):
         out = tmp_path / "d"
         assert main(["synth", "--out", str(out), "--train-per-class", "5",

@@ -9,7 +9,6 @@ from unfoldfed.data import (
     COMMUNICATION,
     COMPUTATION,
     STATISTICAL,
-    DataError,
     IdxFormatError,
     default_label_map,
     load_idx_images,
@@ -66,14 +65,14 @@ class TestIdxParsing:
     def test_out_of_range_label_rejected(self, tmp_path):
         path = tmp_path / "lbls"
         path.write_bytes(struct.pack(">II", data.IDX_LABEL_MAGIC, 1) + bytes([10]))
-        with pytest.raises(DataError, match="out of range"):
+        with pytest.raises(IdxFormatError, match="out of range"):
             load_idx_labels(path)
 
     def test_count_mismatch_rejected(self, tmp_path):
         img, lbl = tmp_path / "i", tmp_path / "l"
         synth.write_idx_images(img, np.zeros((2, 2, 2), dtype=np.uint8))
         synth.write_idx_labels(lbl, np.zeros(3, dtype=np.uint8))
-        with pytest.raises(DataError, match="count mismatch"):
+        with pytest.raises(IdxFormatError, match="count mismatch"):
             data.load_dataset(img, lbl)
 
 

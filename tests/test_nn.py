@@ -200,28 +200,23 @@ class TestSgdStep:
         p = np.array([3.0, -1.0])
         assert np.array_equal(nn.sgd_step(p, np.zeros(2), 0.1), p)
 
-    def test_pure_decay(self):
-        out = nn.sgd_step(np.array([1.0]), np.array([0.0]), 0.1, decay=0.5)
-        assert out[0] == pytest.approx(0.95, abs=1e-15)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             nn.sgd_step(np.zeros(3), np.zeros(2), 0.1)
 
-    @given(lr=st.floats(1e-4, 1.0), decay=st.floats(0.0, 0.1))
+    @given(lr=st.floats(1e-4, 1.0))
     @settings(max_examples=25, deadline=None)
-    def test_update_formula(self, lr, decay):
+    def test_update_formula(self, lr):
         p = np.array([1.0, -2.0, 0.5])
         g = np.array([0.3, 0.1, -0.2])
         p0, g0 = p.copy(), g.copy()
-        out = nn.sgd_step(p, g, lr, decay)
-        assert np.allclose(out, p0 - lr * (g0 + decay * p0), atol=1e-15)
+        out = nn.sgd_step(p, g, lr)
+        assert np.allclose(out, p0 - lr * g0, atol=1e-15)
         assert np.array_equal(g, g0)
 
-    @pytest.mark.parametrize("decay", [0.0, 0.5])
-    def test_updates_params_in_place(self, decay):
+    def test_updates_params_in_place(self):
         p = np.array([1.0, -2.0])
-        out = nn.sgd_step(p, np.array([0.5, 0.5]), 0.1, decay)
+        out = nn.sgd_step(p, np.array([0.5, 0.5]), 0.1)
         assert out is p
 
 
