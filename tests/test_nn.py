@@ -214,10 +214,12 @@ class TestSgdStep:
         assert np.allclose(out, p0 - lr * g0, atol=1e-15)
         assert np.array_equal(g, g0)
 
-    def test_updates_params_in_place(self):
+    @pytest.mark.parametrize("g", [0.0, 0.5])
+    def test_updates_params_in_place(self, g):
         p = np.array([1.0, -2.0])
-        out = nn.sgd_step(p, np.array([0.5, 0.5]), 0.1)
+        out = nn.sgd_step(p, np.full(2, g), 0.1)
         assert out is p
+        assert np.allclose(p, [1.0 - 0.1 * g, -2.0 - 0.1 * g], atol=1e-15)
 
 
 class TestEvaluate:
