@@ -91,6 +91,8 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"eps {args.eps} outside [1e-6, 1e-2]")
     if args.instances < 1:
         raise ConfigError(f"instances must be at least 1, got {args.instances}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     max_err, redrawn = run_gradcheck(
         n_instances=args.instances, eps=args.eps, seed=args.seed,
         corrupt_sign=args.corrupt_sign,
@@ -166,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("fedavg", "fixed-uniform", "unfolded"))
         p.add_argument("--out", help="output directory override")
         p.add_argument("--threads", type=int,
-                       help="accepted for old configs; clients always train "
-                            "in index order on one thread")
+                       help="train clients in min(N, K, usable cores) "
+                            "processes, this one among them; results are "
+                            "the same at any N")
         p.add_argument("--seed", type=int, help="override all config seeds")
 
     p_run = sub.add_parser("run", help="execute the configured experiment")

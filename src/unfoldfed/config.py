@@ -72,7 +72,7 @@ class ExperimentConfig:
     val_size: int = 1000
     layer_dims: list[int] = field(default_factory=lambda: [784, 32, 10])
     seeds: dict = field(default_factory=lambda: dict(SEED_DEFAULTS))
-    threads: int = 1  # checked and echoed only: clients train on one thread
+    threads: int = 1  # client pool size, capped at K and the usable cores
 
     def __post_init__(self):
         if isinstance(self.seeds, dict):  # absent seeds take their defaults

@@ -2,11 +2,21 @@
 
 The server update is w <- w + eta_g * sum_k theta_k * delta_k - lambda * w,
 so the map from weights to the next model is affine in theta at fixed deltas.
-Clients train one after another in index order on the calling thread.
+
+Clients train in a `ClientPool` of min(threads, K, usable cores) processes.
+The calling process is one of them and trains the heaviest share itself; the
+others are forked once per run and inherit the dataset and the profiles
+copy-on-write. Each client draws from its own generator and the server
+reduces in client-index order, so every pool size gives the same bits.
 """
 
 from __future__ import annotations
 
+import math
+import multiprocessing as mp
+import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +99,140 @@ def client_update(
     )
 
 
+def usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def split_clients(profiles: list[ClientProfile], n_shares: int) -> list[list[int]]:
+    """Longest expected job first, each onto the least loaded share.
+
+    A client's expected job is its expected local SGD steps per round.
+    Returns the shares' client indices in index order, heaviest share first.
+    """
+    loads = [0.0] * n_shares
+    shares: list[list[int]] = [[] for _ in range(n_shares)]
+    costs = [p.participation * p.epochs * math.ceil(p.shard.size / p.batch_size)
+             for p in profiles]
+    for k in sorted(range(len(profiles)), key=lambda k: costs[k], reverse=True):
+        j = loads.index(min(loads))
+        shares[j].append(k)
+        loads[j] += costs[k]
+    order = sorted(range(n_shares), key=lambda j: loads[j], reverse=True)
+    return [sorted(shares[j]) for j in order]
+
+
+def _train_share(spec, global_params, dataset, profiles, jobs):
+    """(k, ClientUpdate) for each (k, seed) job in order, up to the first
+    client that raises, which is paired with its exception instead.
+
+    Floating-point warnings are off: a worker would print its own out of
+    order and without the caller's once-per-line filter, so stderr would
+    depend on the pool size. A diverging client still fails the finite
+    check in `nn.loss_and_grad` or the meta-loss check.
+    """
+    done = []
+    with np.errstate(all="ignore"):
+        for k, seed in jobs:
+            try:
+                upd = client_update(spec, global_params, dataset, profiles[k],
+                                    np.random.default_rng(seed))
+            except Exception as e:  # reported for client k by the caller
+                done.append((k, e))
+                break
+            done.append((k, upd))
+    return done
+
+
+def _serve(conn, parent_end, spec, dataset, profiles) -> None:
+    """Worker loop: one (global_params, jobs) message per round, answered
+    with its `_train_share`, until a None message or EOF."""
+    parent_end.close()  # else the caller's exit would never reach us as EOF
+    while True:
+        try:
+            msg = conn.recv()
+        except EOFError:
+            return
+        if msg is None:
+            return
+        global_params, jobs = msg
+        conn.send(_train_share(spec, global_params, dataset, profiles, jobs))
+
+
+class ClientPool:
+    """The processes that train a run's clients; the caller is one of them.
+
+    `ClientPool()` is the pool of size one: the caller trains every client
+    and no process is started. `client_pool` forks the larger ones.
+    """
+
+    def __init__(self, workers=()):
+        self._workers = list(workers)  # (process, connection, client indices)
+        self._remote = {k for _, _, share in self._workers for k in share}
+
+    def train(self, spec, global_params, dataset, profiles,
+              child_seeds) -> list[ClientUpdate]:
+        """Every client's update for one round, in client-index order.
+
+        Workers train with the spec, dataset and profiles they were forked
+        with. If clients raise, the lowest-index client's error is raised,
+        as it would be with every client trained in order.
+        """
+        for _, conn, share in self._workers:
+            conn.send((global_params, [(k, child_seeds[k]) for k in share]))
+        own = [(k, s) for k, s in enumerate(child_seeds) if k not in self._remote]
+        results = dict(_train_share(spec, global_params, dataset, profiles, own))
+        for proc, conn, _ in self._workers:
+            try:
+                results.update(conn.recv())
+            except EOFError:
+                raise RuntimeError(f"client worker {proc.pid} died") from None
+        failed = [k for k, r in results.items() if isinstance(r, Exception)]
+        if failed:
+            raise results[min(failed)]
+        return [results[k] for k in range(len(profiles))]
+
+
+SERIAL = ClientPool()
+
+
+@contextmanager
+def client_pool(spec: nn.ModelSpec, dataset: Dataset,
+                profiles: list[ClientProfile], threads: int) -> Iterator[ClientPool]:
+    """A ClientPool of min(threads, K, usable cores) processes for one run.
+
+    Workers are forked so that the dataset reaches them copy-on-write; the
+    program starts no threads of its own that a fork could catch holding a
+    lock. The pool is closed on every exit: joined after a clean run, and
+    terminated first after an error, since a worker blocked writing its reply
+    would never read the stop message.
+    """
+    shares = split_clients(profiles, min(threads, len(profiles), usable_cores()))
+    workers = []
+    clean = False
+    try:
+        for share in shares[1:]:
+            ctx = mp.get_context("fork")
+            mine, theirs = ctx.Pipe()
+            proc = ctx.Process(target=_serve,
+                               args=(theirs, mine, spec, dataset, profiles))
+            proc.start()
+            theirs.close()
+            workers.append((proc, mine, share))
+        yield ClientPool(workers)
+        clean = True
+    finally:
+        for proc, conn, _ in workers:
+            if clean:
+                conn.send(None)
+            else:
+                proc.terminate()
+            proc.join()
+            conn.close()
+
+
 def aggregate(
     global_params: np.ndarray,
     updates: list[ClientUpdate],
@@ -126,18 +270,16 @@ def run_round(
     seed_seq: np.random.SeedSequence,
     val: nn.Batch,
     test: nn.Batch,
+    pool: ClientPool = SERIAL,
 ) -> tuple[np.ndarray, RoundRecord, list[np.ndarray]]:
     """Execute one full round and evaluate the result.
 
-    Clients train in index order, each with its own generator spawned from
+    Clients train in `pool`, each with its own generator spawned from
     `seed_seq` by index. Returns the new model, the round record, and the
     per-client deltas (for the meta-gradient).
     """
     child_seeds = seed_seq.spawn(len(profiles))
-    updates = [
-        client_update(spec, global_params, dataset, profile, np.random.default_rng(s))
-        for profile, s in zip(profiles, child_seeds)
-    ]
+    updates = pool.train(spec, global_params, dataset, profiles, child_seeds)
 
     new_params = aggregate(global_params, updates, theta, eta_g, lambda_model)
     val_loss, _ = nn.evaluate(spec, new_params, val)

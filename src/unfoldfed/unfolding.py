@@ -17,7 +17,15 @@ import numpy as np
 from . import nn
 from .config import ExperimentConfig
 from .data import ClientProfile, Dataset
-from .federation import ClientUpdate, RoundRecord, aggregate, run_round
+from .federation import (
+    SERIAL,
+    ClientPool,
+    ClientUpdate,
+    RoundRecord,
+    aggregate,
+    client_pool,
+    run_round,
+)
 
 
 @dataclass(frozen=True)
@@ -119,12 +127,14 @@ def rollout(
     w0: np.ndarray,
     thetas: list[np.ndarray],
     m: int,
+    pool: ClientPool = SERIAL,
 ) -> Iterator[tuple[np.ndarray, RoundRecord, list[np.ndarray]]]:
     """The T rounds of meta-iteration m from `w0`, round t weighted by thetas[t].
 
-    `spec` is `cfg.model_spec()`, built once per run by the caller. Round t
-    is seeded from (seeds["rounds"], m, t) only. Yields (w_next, record,
-    deltas) round by round, so only one round's K client deltas are alive.
+    `spec` is `cfg.model_spec()`, built once per run by the caller, and
+    `pool` trains the clients. Round t is seeded from (seeds["rounds"], m, t)
+    only. Yields (w_next, record, deltas) round by round, so only one round's
+    K client deltas are alive.
     """
     w = w0
     for t in range(cfg.T):
@@ -132,7 +142,7 @@ def rollout(
             t, w, spec, dataset, profiles, thetas[t],
             cfg.eta_g, cfg.lambda_model,
             np.random.SeedSequence([cfg.seeds["rounds"], m, t]),
-            val, test,
+            val, test, pool,
         )
         yield w, rec, deltas
 
@@ -156,6 +166,9 @@ def unfold_train(
     The logits rows are kept canonical (row max zero). A uniform row shift
     never changes the softmax weights, and canonical form makes that
     invariance exact in floating point rather than approximate.
+
+    Clients train in a `client_pool` sized by `cfg.threads`, started for this
+    call and closed before it returns or raises.
     """
 
     def canonical(zq: np.ndarray) -> np.ndarray:
@@ -172,27 +185,30 @@ def unfold_train(
     z = canonical(z)
 
     iterations: list[MetaIteration] = []
-    for m in range(cfg.M):
-        thetas = [fixed_theta] * cfg.T if fixed_theta is not None \
-            else [softmax_weights(row) for row in z]
-        row_grads = np.zeros((cfg.T, cfg.K))
-        meta_loss = 0.0
-        records: list[RoundRecord] = []
-        rounds = rollout(cfg, spec, dataset, profiles, val, test, w0, thetas, m)
-        for w_next, rec, deltas in rounds:
-            meta_loss += rec.val_loss
-            if fixed_theta is None:
-                row_grads[rec.round] = meta_gradient_row(
-                    spec, z[rec.round], deltas, w_next, val, cfg.eta_g,
+    with client_pool(spec, dataset, profiles, cfg.threads) as pool:
+        for m in range(cfg.M):
+            thetas = [fixed_theta] * cfg.T if fixed_theta is not None \
+                else [softmax_weights(row) for row in z]
+            row_grads = np.zeros((cfg.T, cfg.K))
+            meta_loss = 0.0
+            records: list[RoundRecord] = []
+            rounds = rollout(cfg, spec, dataset, profiles, val, test, w0,
+                             thetas, m, pool)
+            for w_next, rec, deltas in rounds:
+                meta_loss += rec.val_loss
+                if fixed_theta is None:
+                    row_grads[rec.round] = meta_gradient_row(
+                        spec, z[rec.round], deltas, w_next, val, cfg.eta_g,
+                    )
+                records.append(rec)
+            if not np.isfinite(meta_loss):
+                raise FloatingPointError(
+                    f"meta-loss diverged at meta-iteration {m}: {meta_loss}"
                 )
-            records.append(rec)
-        if not np.isfinite(meta_loss):
-            raise FloatingPointError(
-                f"meta-loss diverged at meta-iteration {m}: {meta_loss}"
-            )
-        iterations.append(MetaIteration(m, meta_loss, z.copy(), records))
-        if fixed_theta is None:
-            z = canonical(meta_step(z, row_grads, cfg.eta_meta, cfg.lambda_theta))
+            iterations.append(MetaIteration(m, meta_loss, z.copy(), records))
+            if fixed_theta is None:
+                z = canonical(meta_step(z, row_grads, cfg.eta_meta,
+                                        cfg.lambda_theta))
     return z, MetaTrace(iterations)
 
 

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from unfoldfed import nn, synth
+from unfoldfed import federation, nn, synth
 from unfoldfed.data import Dataset
+
+
+@pytest.fixture
+def many_cores(monkeypatch):
+    """Eight usable cores whatever the host has, so that `threads` alone sizes
+    the client pool and pool tests fork workers on a one-core host too."""
+    monkeypatch.setattr(federation, "usable_cores", lambda: 8)
 
 
 @pytest.fixture(scope="session")

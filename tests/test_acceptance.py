@@ -216,9 +216,11 @@ def test_criterion_9_determinism_and_threads(desk_paths, tmp_path):
     ref = (outs[0] / "history.csv").read_bytes()
     assert (outs[1] / "history.csv").read_bytes() == ref
     assert (outs[2] / "history.csv").read_bytes() == ref
-    assert (outs[1] / "weights.json").read_bytes() == \
-        (outs[0] / "weights.json").read_bytes()
-    ok(9, "byte-identical CSV across repeated runs and across --threads 1 vs 8")
+    ref = (outs[0] / "weights.json").read_bytes()
+    assert (outs[1] / "weights.json").read_bytes() == ref
+    assert (outs[2] / "weights.json").read_bytes() == ref
+    ok(9, "byte-identical CSV and weights across repeated runs and across "
+          "--threads 1 vs 8")
 
 
 def test_criterion_10_idx_ingestion(tmp_path):

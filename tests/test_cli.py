@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from unfoldfed.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from unfoldfed.config import ConfigError, ExperimentConfig, from_dict, parse_config
 from unfoldfed.experiment import prepare_problem
 from unfoldfed.report import csv_header
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -232,6 +237,25 @@ class TestCmdRun:
         assert manifest["config"]["threads"] == 2
         assert "emit_svg" not in manifest["config"]
 
+    def test_divergence_reported_alike_at_any_threads(self, small_config):
+        # In a fresh interpreter, so that its warnings reach stderr as they
+        # would for a user. Two processes train clients on a host with two or
+        # more usable cores.
+        raw = json.loads(small_config.read_text())
+        small_config.write_text(json.dumps(dict(raw, local_lr=30.0)))
+        env = dict(os.environ, PYTHONPATH=SRC)
+        reports = []
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "unfoldfed.cli", "run", "--config",
+                 str(small_config), "--threads", threads],
+                env=env, capture_output=True, text=True, timeout=300)
+            reports.append((done.returncode, done.stderr))
+        assert reports[0][0] == EXIT_VERIFY
+        assert "RuntimeWarning" in reports[0][1]
+        assert reports[0][1].endswith("error: meta-loss diverged at meta-iteration 0: inf\n")
+        assert reports[1] == reports[0]
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"bogus_field": 1}))
@@ -271,6 +295,10 @@ class TestCmdGradcheck:
     def test_no_instances_exit_2(self, capsys):
         assert main(["gradcheck", "--instances", "0"]) == EXIT_CONFIG
         assert "instances" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["gradcheck", "--seed", "-1", "--instances", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --seed")
 
 
 class TestCmdPartition:

@@ -1,3 +1,5 @@
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from unfoldfed.data import ClientProfile, Shard, make_profiles, partition_balanc
 from unfoldfed.federation import (
     ClientUpdate,
     aggregate,
+    client_pool,
     client_update,
     fedavg_weights,
     run_round,
+    split_clients,
 )
 
 SPEC = nn.ModelSpec((20, 8, 10))
@@ -235,3 +239,81 @@ class TestRunRound:
         )
         assert np.allclose(w_next, w - 0.01 * w, atol=1e-15)
         assert not rec.participation.any()
+
+
+def setting_profiles(dataset, setting, K=5):
+    """Balanced 30-sample shards, batch 10, with the setting's epochs and
+    participation: computation has epochs (1, 1, 3, 3, 5), communication
+    skips clients 2-4 at random."""
+    cfg = ExperimentConfig(K=K, setting=setting, local_lr=0.05, batch_size=10)
+    return make_profiles(cfg, partition_balanced(dataset, K=K, per_client=30, seed=2))
+
+
+def failing_profiles(dataset, bad):
+    """Epochs (1, 2, 3, 4) on 30-sample shards, split over two processes into
+    the caller's {0, 3} and a worker's {1, 2}. A client in `bad` holds the
+    out-of-range row 10000 + k, so it raises an IndexError naming that row."""
+    return [
+        profile_for(dataset, np.r_[np.arange(30 * k, 30 * k + 29), 10_000 + k]
+                    if k in bad else np.arange(30 * k, 30 * k + 30),
+                    epochs=k + 1, batch=10, owner=k)
+        for k in range(4)
+    ]
+
+
+class TestClientPool:
+    def test_longest_job_first_split(self, toy_dataset):
+        profiles = setting_profiles(toy_dataset, "computation")
+        assert split_clients(profiles, 1) == [[0, 1, 2, 3, 4]]
+        # Expected steps 3, 3, 9, 9, 15: the caller's share is 21 of 39.
+        assert split_clients(profiles, 2) == [[0, 1, 4], [2, 3]]
+        assert split_clients(profiles, 5) == [[4], [2], [3], [0], [1]]
+        assert split_clients(failing_profiles(toy_dataset, ()), 2) == [[0, 3], [1, 2]]
+
+    @pytest.mark.parametrize("setting,threads", [("computation", 2),
+                                                 ("communication", 3)])
+    def test_rounds_bitwise_equal_to_one_process(self, toy_dataset, many_cores,
+                                                 setting, threads):
+        profiles = setting_profiles(toy_dataset, setting)
+        eval_batch = nn.Batch(toy_dataset.images[:50], toy_dataset.labels[:50])
+        theta = np.full(5, 0.2)
+        w = nn.init_model(SPEC, 3)
+        masks = []
+        with client_pool(SPEC, toy_dataset, profiles, threads) as pool:
+            assert len(mp.active_children()) == threads - 1
+            for t in range(4):
+                # A fresh SeedSequence per call: spawning advances it.
+                head = (t, w, SPEC, toy_dataset, profiles, theta, 1.0, 1e-4)
+                w_pool, rec_pool, deltas_pool = run_round(
+                    *head, np.random.SeedSequence([7, 0, t]), eval_batch,
+                    eval_batch, pool)
+                w, rec, deltas = run_round(
+                    *head, np.random.SeedSequence([7, 0, t]), eval_batch, eval_batch)
+                assert np.array_equal(w_pool, w)
+                assert all(np.array_equal(a, b) for a, b in zip(deltas_pool, deltas))
+                assert np.array_equal(rec_pool.local_losses, rec.local_losses,
+                                      equal_nan=True)
+                assert np.array_equal(rec_pool.participation, rec.participation)
+                assert (rec_pool.val_loss, rec_pool.test_acc) == \
+                    (rec.val_loss, rec.test_acc)
+                masks.append(rec.participation)
+        assert mp.active_children() == []
+        if setting == "communication":
+            assert not np.all(masks), "no client skipped a round"
+
+    @pytest.mark.parametrize("bad", [{1}, {3}, {1, 3}, {0, 2}, {1, 2}])
+    def test_lowest_failing_client_raised_as_in_one_process(
+            self, toy_dataset, many_cores, bad):
+        profiles = failing_profiles(toy_dataset, bad)
+        eval_batch = nn.Batch(toy_dataset.images[:20], toy_dataset.labels[:20])
+        head = (0, nn.init_model(SPEC, 0), SPEC, toy_dataset, profiles,
+                np.full(4, 0.25), 1.0, 0.0)
+        with pytest.raises(IndexError) as serial:
+            run_round(*head, np.random.SeedSequence(4), eval_batch, eval_batch)
+        assert str(10_000 + min(bad)) in str(serial.value)
+        with pytest.raises(IndexError) as pooled:
+            with client_pool(SPEC, toy_dataset, profiles, 2) as pool:
+                run_round(*head, np.random.SeedSequence(4), eval_batch, eval_batch,
+                          pool)
+        assert str(pooled.value) == str(serial.value)
+        assert mp.active_children() == []

@@ -1,4 +1,5 @@
 import math
+import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from unfoldfed.unfolding import (
     unfold_train,
 )
 from unfoldfed.verify import run_gradcheck
+from tests.test_federation import failing_profiles, setting_profiles
 
 SPEC = nn.ModelSpec((20, 8, 10))
 
@@ -224,6 +226,35 @@ class TestUnfoldTrain:
             ) / (2 * eps)
         assert np.all(np.isfinite(fd_full))
         assert np.array_equal(np.sign(fd_full), np.sign(row)), (fd_full, row)
+
+    @pytest.mark.parametrize("setting", ["computation", "communication"])
+    def test_pool_bitwise_equal_to_one_process(self, toy_dataset, many_cores,
+                                               setting):
+        profiles = setting_profiles(toy_dataset, setting)
+        _, val, test = small_problem(toy_dataset)
+        runs = [unfold_train(self._cfg(K=5, M=2, T=4, setting=setting,
+                                       threads=threads),
+                             toy_dataset, profiles, val, test)
+                for threads in (1, 2)]
+        assert mp.active_children() == []
+        (z1, t1), (z2, t2) = runs
+        assert np.array_equal(z1, z2)
+        assert np.array_equal(t1.meta_losses(), t2.meta_losses())
+        for a, b in zip(t1.iterations, t2.iterations):
+            assert np.array_equal(a.logits, b.logits)
+            for ra, rb in zip(a.records, b.records):
+                assert np.array_equal(ra.participation, rb.participation)
+                assert np.array_equal(ra.local_losses, rb.local_losses,
+                                      equal_nan=True)
+                assert (ra.val_loss, ra.test_acc) == (rb.val_loss, rb.test_acc)
+
+    def test_pool_closed_after_a_client_fails(self, toy_dataset, many_cores):
+        _, val, test = small_problem(toy_dataset)
+        cfg = self._cfg(K=4, threads=2)
+        with pytest.raises(IndexError, match="10001"):
+            unfold_train(cfg, toy_dataset, failing_profiles(toy_dataset, {1}),
+                         val, test)
+        assert mp.active_children() == []
 
     def test_profile_count_checked(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
