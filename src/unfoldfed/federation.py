@@ -6,7 +6,9 @@ so the map from weights to the next model is affine in theta at fixed deltas.
 Clients train in a `ClientPool` of min(threads, K, usable cores) processes.
 The calling process is one of them and trains the heaviest share itself; the
 others are forked once per run and inherit the dataset and the profiles
-copy-on-write. Each client draws from its own generator and the server
+copy-on-write. Every client's update is one `client_update` call in the
+calling process; only the local SGD of a worker's client runs in the
+worker. Each client draws from its own generator and the server
 reduces in client-index order, so every pool size gives the same bits.
 """
 
@@ -15,9 +17,11 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
+import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -60,25 +64,16 @@ def check_simplex(theta: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
         )
 
 
-def client_update(
+def local_sgd(
     spec: nn.ModelSpec,
     global_params: np.ndarray,
     dataset: Dataset,
     profile: ClientProfile,
     rng: np.random.Generator,
-) -> ClientUpdate:
-    """Local training for one client.
-
-    Draws participation first; an absent client returns a zero delta.
-    Runs `epochs` passes of shuffled mini-batch SGD at the client rate and
-    reports the mean training loss over the last epoch.
-    """
-    if profile.shard.size == 0:
-        raise ValueError(f"client {profile.shard.owner} has an empty shard")
-    participated = rng.uniform() < profile.participation
-    if not participated:
-        return ClientUpdate(np.zeros_like(global_params), float("nan"), False)
-
+) -> tuple[np.ndarray, float]:
+    """`epochs` passes of shuffled mini-batch SGD at the client rate from
+    `global_params`; returns the trained params and the mean training loss
+    over the last epoch."""
     idx = profile.shard.indices
     params = global_params.copy()  # trained in place by nn.sgd_step
     last_epoch_losses: list[float] = []
@@ -92,9 +87,33 @@ def client_update(
             losses.append(loss)
             params = nn.sgd_step(params, grad, profile.local_lr)
         last_epoch_losses = losses
+    return params, float(np.mean(last_epoch_losses))
+
+
+def client_update(
+    spec: nn.ModelSpec,
+    global_params: np.ndarray,
+    dataset: Dataset,
+    profile: ClientProfile,
+    rng: np.random.Generator,
+    train=local_sgd,
+) -> ClientUpdate:
+    """Local training for one client.
+
+    Draws participation first; an absent client returns a zero delta. A
+    present one trains through `train`, which takes `local_sgd`'s arguments
+    and returns what it does: a `ClientPool` passes one that runs
+    `local_sgd` in the worker process holding the client.
+    """
+    if profile.shard.size == 0:
+        raise ValueError(f"client {profile.shard.owner} has an empty shard")
+    participated = rng.uniform() < profile.participation
+    if not participated:
+        return ClientUpdate(np.zeros_like(global_params), float("nan"), False)
+    params, local_loss = train(spec, global_params, dataset, profile, rng)
     return ClientUpdate(
         delta=params - global_params,
-        local_loss=float(np.mean(last_epoch_losses)),
+        local_loss=local_loss,
         participated=True,
     )
 
@@ -124,41 +143,65 @@ def split_clients(profiles: list[ClientProfile], n_shares: int) -> list[list[int
     return [sorted(shares[j]) for j in order]
 
 
-def _train_share(spec, global_params, dataset, profiles, jobs):
-    """(k, ClientUpdate) for each (k, seed) job in order, up to the first
-    client that raises, which is paired with its exception instead.
-
-    Floating-point warnings are off: a worker would print its own out of
-    order and without the caller's once-per-line filter, so stderr would
-    depend on the pool size. A diverging client still fails the finite
-    check in `nn.loss_and_grad` or the meta-loss check.
-    """
-    done = []
-    with np.errstate(all="ignore"):
-        for k, seed in jobs:
-            try:
-                upd = client_update(spec, global_params, dataset, profiles[k],
-                                    np.random.default_rng(seed))
-            except Exception as e:  # reported for client k by the caller
-                done.append((k, e))
-                break
-            done.append((k, upd))
-    return done
-
-
 def _serve(conn, parent_end, spec, dataset, profiles) -> None:
-    """Worker loop: one (global_params, jobs) message per round, answered
-    with its `_train_share`, until a None message or EOF."""
+    """Worker loop: one (global_params, [(k, seed)]) message per round, until
+    a None message or EOF.
+
+    Each client runs through `client_update` here as in the caller, so both
+    draw the same participation. A client that trains sends the caller its
+    `local_sgd` result, or the exception that raised; the share stops at the
+    first client that raises, where the caller's `client_update` raises too.
+    """
     parent_end.close()  # else the caller's exit would never reach us as EOF
-    while True:
+    with np.errstate(all="ignore"):  # see ClientPool.train
+        while True:
+            try:
+                msg = conn.recv()
+            except EOFError:
+                return
+            if msg is None:
+                return
+            global_params, jobs = msg
+            for k, seed in jobs:
+                outcome = []
+                failed = False
+                try:
+                    client_update(spec, global_params, dataset, profiles[k],
+                                  np.random.default_rng(seed),
+                                  partial(_recorded, outcome))
+                except Exception:  # raised for client k by the caller too
+                    failed = True
+                if outcome:  # client k trained; the caller waits for this
+                    conn.send(outcome[0])
+                if failed:
+                    break
+
+
+def _recorded(outcome: list, *args):
+    """`local_sgd` that also appends its result, or the exception it
+    raised, to `outcome`."""
+    try:
+        outcome.append(local_sgd(*args))
+    except Exception as e:
+        outcome.append(e)
+        raise
+    return outcome[0]
+
+
+def _replies_from(proc, conn):
+    """A `client_update` train step that takes the next reply of the worker
+    `proc` at the other end of `conn` in place of training."""
+
+    def train(*args):
         try:
-            msg = conn.recv()
+            reply = conn.recv()
         except EOFError:
-            return
-        if msg is None:
-            return
-        global_params, jobs = msg
-        conn.send(_train_share(spec, global_params, dataset, profiles, jobs))
+            raise RuntimeError(f"client worker {proc.pid} died") from None
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    return train
 
 
 class ClientPool:
@@ -176,20 +219,54 @@ class ClientPool:
               child_seeds) -> list[ClientUpdate]:
         """Every client's update for one round, in client-index order.
 
-        Workers train with the spec, dataset and profiles they were forked
-        with. If clients raise, the lowest-index client's error is raised,
-        as it would be with every client trained in order.
+        Each worker gets the weights and its clients' seeds and trains
+        them with the spec, dataset and profiles it was forked with. Here,
+        each share runs on a thread that calls the module's `client_update`
+        for each of its clients in index order, while the calling thread
+        waits (a pool of size one trains on the calling thread): so every
+        client's update is one `client_update` call in this process, whose
+        `train` step is a worker's reply for a worker's client. If clients
+        raise, the lowest-index client's error is raised, as it would be
+        with every client trained in order; the pool is not used again,
+        since a worker may still be replying.
+
+        Floating-point warnings are off while clients train: a worker would
+        print its own out of order and without the caller's once-per-line
+        filter, so stderr would depend on the pool size. A diverging client
+        still fails the finite check in `nn.loss_and_grad` or the meta-loss
+        check.
         """
+        own = [k for k in range(len(profiles)) if k not in self._remote]
+        results: dict[int, ClientUpdate | BaseException] = {}
+
+        def run_share(share, train):
+            with np.errstate(all="ignore"):
+                for k in share:
+                    try:
+                        results[k] = client_update(
+                            spec, global_params, dataset, profiles[k],
+                            np.random.default_rng(child_seeds[k]), train)
+                    except BaseException as e:  # raised by the caller below
+                        results[k] = e
+                        return
+
         for _, conn, share in self._workers:
             conn.send((global_params, [(k, child_seeds[k]) for k in share]))
-        own = [(k, s) for k, s in enumerate(child_seeds) if k not in self._remote]
-        results = dict(_train_share(spec, global_params, dataset, profiles, own))
-        for proc, conn, _ in self._workers:
-            try:
-                results.update(conn.recv())
-            except EOFError:
-                raise RuntimeError(f"client worker {proc.pid} died") from None
-        failed = [k for k, r in results.items() if isinstance(r, Exception)]
+        # The caller's share starts last: its thread would hold the GIL while
+        # the others start, and each of those blocks at once on its worker.
+        shares = [(share, _replies_from(proc, conn))
+                  for proc, conn, share in self._workers] + [(own, local_sgd)]
+        if len(shares) == 1:
+            run_share(*shares[0])
+        else:
+            # Daemon threads: an interrupted caller does not wait for a share.
+            threads = [threading.Thread(target=run_share, args=s, daemon=True)
+                       for s in shares]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+        failed = [k for k, r in results.items() if isinstance(r, BaseException)]
         if failed:
             raise results[min(failed)]
         return [results[k] for k in range(len(profiles))]
@@ -203,8 +280,8 @@ def client_pool(spec: nn.ModelSpec, dataset: Dataset,
                 profiles: list[ClientProfile], threads: int) -> Iterator[ClientPool]:
     """A ClientPool of min(threads, K, usable cores) processes for one run.
 
-    Workers are forked so that the dataset reaches them copy-on-write; the
-    program starts no threads of its own that a fork could catch holding a
+    Workers are forked so that the dataset reaches them copy-on-write, before
+    the pool starts any thread of its own that a fork could catch holding a
     lock. The pool is closed on every exit: joined after a clean run, and
     terminated first after an error, since a worker blocked writing its reply
     would never read the stop message.

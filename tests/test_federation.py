@@ -3,7 +3,7 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from unfoldfed import nn
+from unfoldfed import federation, nn
 from unfoldfed.config import ExperimentConfig
 from unfoldfed.data import ClientProfile, Shard, make_profiles, partition_balanced
 from unfoldfed.federation import (
@@ -300,6 +300,26 @@ class TestClientPool:
         assert mp.active_children() == []
         if setting == "communication":
             assert not np.all(masks), "no client skipped a round"
+
+    def test_every_client_is_one_client_update_call_in_the_caller(
+            self, toy_dataset, many_cores, monkeypatch):
+        # The lookup that tracing wraps: one call per client and round in
+        # this process, whichever process trains the client.
+        profiles = setting_profiles(toy_dataset, "communication")
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3].shard.owner)
+            return client_update(*args)
+
+        eval_batch = nn.Batch(toy_dataset.images[:20], toy_dataset.labels[:20])
+        with client_pool(SPEC, toy_dataset, profiles, 3) as pool:
+            monkeypatch.setattr(federation, "client_update", counted)
+            for t in range(3):
+                run_round(t, nn.init_model(SPEC, 0), SPEC, toy_dataset, profiles,
+                          np.full(5, 0.2), 1.0, 0.0, np.random.SeedSequence(t),
+                          eval_batch, eval_batch, pool)
+        assert sorted(calls) == sorted(list(range(5)) * 3)
 
     @pytest.mark.parametrize("bad", [{1}, {3}, {1, 3}, {0, 2}, {1, 2}])
     def test_lowest_failing_client_raised_as_in_one_process(
