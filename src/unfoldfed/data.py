@@ -35,7 +35,15 @@ class IdxFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    images: np.ndarray  # (N, 784) float64 in [0, 1]
+    """Images and their labels, row for row.
+
+    `load_dataset` fills `images` with the file's uint8 pixels, and
+    `split_validation` and the partitioners keep them so: they only gather
+    rows and read labels. The rows the model reads are scaled once, by
+    `scale_pixels`, into float64 features in [0, 1].
+    """
+
+    images: np.ndarray  # (N, 784) uint8 pixels, or float64 in [0, 1] once scaled
     labels: np.ndarray  # (N,) int64 in [0, 10)
 
     def __post_init__(self):
@@ -77,7 +85,8 @@ def _read_be32(f, what: str) -> int:
 
 
 def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX3 image file into a (count, rows, cols) array in [0, 1]."""
+    """Parse an IDX3 image file into a read-only (count, rows, cols) uint8
+    array over the file's bytes."""
     with open(path, "rb") as f:
         magic = _read_be32(f, "magic")
         if magic != IDX_IMAGE_MAGIC:
@@ -93,8 +102,17 @@ def load_idx_images(path) -> np.ndarray:
         raise IdxFormatError(
             f"truncated payload in {path}: {len(payload)} bytes, expected {expected}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
-    return pixels.astype(np.float64) / 255.0
+    return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+
+
+def scale_pixels(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels as float64 features in [0, 1].
+
+    Every uint8 value converts to float64 exactly and divides to one
+    correctly rounded quotient, so a row's features are the same bits
+    whichever rows are scaled with it.
+    """
+    return pixels / 255.0
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -118,6 +136,8 @@ def load_idx_labels(path) -> np.ndarray:
 
 
 def load_dataset(images_path, labels_path) -> Dataset:
+    """The image and label files as one Dataset of (N, rows * cols) uint8
+    pixels and int64 labels."""
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if len(images) != len(labels):

@@ -11,9 +11,11 @@ from .config import ConfigError, ExperimentConfig
 from .data import (
     STATISTICAL,
     Dataset,
+    Shard,
     load_dataset,
     make_profiles,
     partition_for_setting,
+    scale_pixels,
     split_validation,
 )
 from .federation import fedavg_weights
@@ -23,7 +25,12 @@ from .unfolding import softmax_weights, unfold_train
 
 @dataclass
 class Problem:
-    """Prepared data and clients for one experiment."""
+    """Prepared data and clients for one experiment.
+
+    `train` holds only the rows the clients read, as float64 features in
+    [0, 1], each shard's rows one consecutive block in shard order; the
+    shards index it. The validation and test batches are float64 too.
+    """
 
     train: Dataset
     val_batch: nn.Batch
@@ -51,11 +58,18 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
     except ValueError as e:
         name = "sizes" if cfg.setting == STATISTICAL else "per_client"
         raise ConfigError(f"config field {name!r}: {e}") from e
+    # Clients read only their shards' rows: scale those once, in shard order,
+    # and point each shard at its block of the result.
+    rows = np.concatenate([s.indices for s in shards])
+    clients = Dataset(scale_pixels(train.images[rows]), train.labels[rows])
+    ends = np.cumsum([s.size for s in shards])
+    shards = [Shard(s.owner, np.arange(end - s.size, end))
+              for s, end in zip(shards, ends)]
     profiles = make_profiles(cfg, shards)
     return Problem(
-        train=train,
-        val_batch=nn.Batch(val.images, val.labels),
-        test_batch=nn.Batch(test.images, test.labels),
+        train=clients,
+        val_batch=nn.Batch(scale_pixels(val.images), val.labels),
+        test_batch=nn.Batch(scale_pixels(test.images), test.labels),
         shards=shards,
         profiles=profiles,
     )

@@ -351,11 +351,18 @@ def run_round(
 ) -> tuple[np.ndarray, RoundRecord, list[np.ndarray]]:
     """Execute one full round and evaluate the result.
 
-    Clients train in `pool`, each with its own generator spawned from
-    `seed_seq` by index. Returns the new model, the round record, and the
+    Clients train in `pool`, client k on a generator seeded by the k-th
+    child that `spawn` gives a fresh `seed_seq`. The children are built
+    directly, leaving `seed_seq` unspawned, so equal arguments give an
+    equal round. Returns the new model, the round record, and the
     per-client deltas (for the meta-gradient).
     """
-    child_seeds = seed_seq.spawn(len(profiles))
+    child_seeds = [
+        np.random.SeedSequence(seed_seq.entropy,
+                               spawn_key=seed_seq.spawn_key + (k,),
+                               pool_size=seed_seq.pool_size)
+        for k in range(len(profiles))
+    ]
     updates = pool.train(spec, global_params, dataset, profiles, child_seeds)
 
     new_params = aggregate(global_params, updates, theta, eta_g, lambda_model)

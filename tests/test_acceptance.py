@@ -16,12 +16,14 @@ from unfoldfed import nn, synth
 from unfoldfed.cli import EXIT_OK, main
 from unfoldfed.config import ExperimentConfig, from_dict
 from unfoldfed.data import (
+    Dataset,
     IdxFormatError,
     Shard,
     ClientProfile,
     load_idx_images,
     load_idx_labels,
     load_dataset,
+    scale_pixels,
     split_validation,
 )
 from unfoldfed.experiment import final_test_accuracy, prepare_problem, run_experiment
@@ -154,6 +156,9 @@ def test_criterion_5_homogeneity_yields_uniform_weights(desk_paths):
     full = load_dataset(desk_paths["train_images"], desk_paths["train_labels"])
     train, val = split_validation(full, 500, seed=0)
     test = load_dataset(desk_paths["test_images"], desk_paths["test_labels"])
+    train = Dataset(scale_pixels(train.images), train.labels)
+    val_batch = nn.Batch(scale_pixels(val.images), val.labels)
+    test_batch = nn.Batch(scale_pixels(test.images[:500]), test.labels[:500])
     shared = Shard(owner=0, indices=np.arange(300, dtype=np.int64))
     profiles = [
         ClientProfile(shard=Shard(owner=k, indices=shared.indices),
@@ -165,11 +170,7 @@ def test_criterion_5_homogeneity_yields_uniform_weights(desk_paths):
                                lambda_theta=1e-4,
                                seeds={"model": seed, "data": seed + 1,
                                       "rounds": seed + 2})
-        logits, _ = unfold_train(
-            cfg, train, profiles,
-            nn.Batch(val.images, val.labels),
-            nn.Batch(test.images[:500], test.labels[:500]),
-        )
+        logits, _ = unfold_train(cfg, train, profiles, val_batch, test_batch)
         for row in logits:
             theta = softmax_weights(row)
             assert np.abs(theta - 0.2).max() <= 0.05, (seed, theta)

@@ -28,7 +28,8 @@ class TestIdxParsing:
         synth.write_idx_images(path, pixels)
         out = load_idx_images(path)
         assert out.shape == (2, 28, 28)
-        assert np.allclose(out, pixels / 255.0)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, pixels)
 
     def test_image_magic_constant(self, tmp_path):
         path = tmp_path / "imgs"

@@ -1,0 +1,66 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from unfoldfed.config import ExperimentConfig
+from unfoldfed.data import (
+    COMMUNICATION,
+    COMPUTATION,
+    STATISTICAL,
+    Dataset,
+    load_dataset,
+    partition_for_setting,
+    split_validation,
+)
+from unfoldfed.experiment import prepare_problem
+
+
+def synth_config(synth_paths, setting: str) -> ExperimentConfig:
+    """A setting on the 1200-image synthetic set: five shards of 200 or
+    fewer rows and a 100-image validation split."""
+    return ExperimentConfig(**synth_paths, setting=setting, sizes=[100, 25, 25, 25, 25],
+                            per_client=40, val_size=100,
+                            seeds={"model": 1, "data": 2, "rounds": 3})
+
+
+@pytest.mark.parametrize("setting", [STATISTICAL, COMPUTATION, COMMUNICATION])
+def test_features_bitwise_equal_to_scaling_every_image_first(synth_paths, setting):
+    cfg = synth_config(synth_paths, setting)
+
+    def scaled_first(images, labels):
+        ds = load_dataset(images, labels)
+        return Dataset(ds.images.astype(np.float64) / 255.0, ds.labels)
+
+    train, val = split_validation(
+        scaled_first(synth_paths["train_images"], synth_paths["train_labels"]),
+        cfg.val_size, cfg.seeds["data"])
+    test = scaled_first(synth_paths["test_images"], synth_paths["test_labels"])
+    shards = partition_for_setting(train, cfg)
+
+    problem = prepare_problem(cfg)
+    assert problem.train.images.dtype == np.float64
+    assert len(problem.train) == sum(s.size for s in shards)
+    for old, new in zip(shards, problem.shards):
+        assert (new.owner, new.size) == (old.owner, old.size)
+        assert np.array_equal(problem.train.images[new.indices],
+                              train.images[old.indices])
+        assert np.array_equal(problem.train.labels[new.indices],
+                              train.labels[old.indices])
+    assert np.array_equal(problem.val_batch.features, val.images)
+    assert np.array_equal(problem.val_batch.labels, val.labels)
+    assert np.array_equal(problem.test_batch.features, test.images)
+    assert np.array_equal(problem.test_batch.labels, test.labels)
+
+
+def test_peak_memory_below_one_float_copy_of_the_training_images(synth_paths):
+    cfg = synth_config(synth_paths, STATISTICAL)
+    pixels = load_dataset(cfg.train_images, cfg.train_labels).images
+    one_float_copy = pixels.size * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        prepare_problem(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_float_copy

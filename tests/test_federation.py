@@ -197,6 +197,19 @@ class TestRunRound:
         ref = reference_fedavg_round(SPEC, w, toy_dataset, profiles, theta, 1.0, seed)
         assert np.array_equal(w_next, ref)
 
+    def test_seed_sequence_reused_gives_the_same_round(self, toy_dataset):
+        profiles, eval_batch = self._setup(toy_dataset)
+        args = (0, nn.init_model(SPEC, 3), SPEC, toy_dataset, profiles,
+                np.full(3, 1 / 3), 1.0, 1e-4, np.random.SeedSequence([5, 0, 0]),
+                eval_batch, eval_batch)
+        w1, rec1, deltas1 = run_round(*args)
+        w2, rec2, deltas2 = run_round(*args)
+        assert np.array_equal(w1, w2)
+        assert all(np.array_equal(a, b) for a, b in zip(deltas1, deltas2))
+        assert np.array_equal(rec1.local_losses, rec2.local_losses)
+        assert np.array_equal(rec1.participation, rec2.participation)
+        assert (rec1.val_loss, rec1.test_acc) == (rec2.val_loss, rec2.test_acc)
+
     def test_global_params_unchanged(self, toy_dataset):
         profiles, eval_batch = self._setup(toy_dataset)
         w = nn.init_model(SPEC, 3)
@@ -282,7 +295,6 @@ class TestClientPool:
         with client_pool(SPEC, toy_dataset, profiles, threads) as pool:
             assert len(mp.active_children()) == threads - 1
             for t in range(4):
-                # A fresh SeedSequence per call: spawning advances it.
                 head = (t, w, SPEC, toy_dataset, profiles, theta, 1.0, 1e-4)
                 w_pool, rec_pool, deltas_pool = run_round(
                     *head, np.random.SeedSequence([7, 0, t]), eval_batch,
