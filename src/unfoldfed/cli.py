@@ -5,7 +5,8 @@ split, `run` executes a mode end to end, `gradcheck` verifies the
 meta-gradient against finite differences, `report` re-renders charts from a
 saved history, and `synth` writes the deterministic stand-in dataset.
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 config error, 3 I/O error
+or a client worker that died.
 """
 
 from __future__ import annotations
@@ -93,10 +94,8 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"instances must be at least 1, got {args.instances}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    max_err, redrawn = run_gradcheck(
-        n_instances=args.instances, eps=args.eps, seed=args.seed,
-        corrupt_sign=args.corrupt_sign,
-    )
+    max_err, redrawn = run_gradcheck(n_instances=args.instances, eps=args.eps,
+                                     seed=args.seed)
     ok = max_err < 1e-4
     print(f"gradcheck: max relative error {max_err:.3e} over {args.instances} "
           f"instances, {redrawn} redrawn at a kink -> {'PASS' if ok else 'FAIL'}")
@@ -185,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--eps", type=float, default=1e-3)
     p_grad.add_argument("--instances", type=int, default=20)
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--corrupt-sign", action="store_true",
-                        help=argparse.SUPPRESS)  # negative-control test hook
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_rep = sub.add_parser("report", help="re-render charts from a history CSV")

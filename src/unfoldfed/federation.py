@@ -6,9 +6,10 @@ so the map from weights to the next model is affine in theta at fixed deltas.
 Clients train in a `ClientPool` of min(threads, K, usable cores) processes.
 The calling process is one of them and trains the heaviest share itself; the
 others are forked once per run and inherit the dataset and the profiles
-copy-on-write. Every client's update is one `client_update` call in the
-calling process; only the local SGD of a worker's client runs in the
-worker. Each client draws from its own generator and the server
+copy-on-write. Each round, every worker trains its share and sends one
+reply with the local SGD results, which the caller replays after training
+its own share: so every client's update is one `client_update` call in the
+calling process. Each client draws from its own generator and the server
 reduces in client-index order, so every pool size gives the same bits.
 """
 
@@ -17,11 +18,9 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
-import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -102,8 +101,8 @@ def client_update(
 
     Draws participation first; an absent client returns a zero delta. A
     present one trains through `train`, which takes `local_sgd`'s arguments
-    and returns what it does: a `ClientPool` passes one that runs
-    `local_sgd` in the worker process holding the client.
+    and returns what it does: a `ClientPool` passes one that replays a
+    worker's `local_sgd` result for the worker's clients.
     """
     if profile.shard.size == 0:
         raise ValueError(f"client {profile.shard.owner} has an empty shard")
@@ -143,65 +142,48 @@ def split_clients(profiles: list[ClientProfile], n_shares: int) -> list[list[int
     return [sorted(shares[j]) for j in order]
 
 
+def _train_share(spec, w, dataset, profiles, jobs, train) -> dict:
+    """{k: update or error} for a share's (k, seed) jobs in order, each one
+    `client_update` call with `train` as its train step. The share stops at
+    the first client that raises."""
+    out = {}
+    with np.errstate(all="ignore"):  # see ClientPool.train
+        for k, seed in jobs:
+            try:
+                out[k] = client_update(spec, w, dataset, profiles[k],
+                                       np.random.default_rng(seed), train)
+            except Exception as e:  # raised by ClientPool.train
+                out[k] = e
+                break
+    return out
+
+
 def _serve(conn, parent_end, spec, dataset, profiles) -> None:
     """Worker loop: one (global_params, [(k, seed)]) message per round, until
     a None message or EOF.
 
-    Each client runs through `client_update` here as in the caller, so both
-    draw the same participation. A client that trains sends the caller its
-    `local_sgd` result, or the exception that raised; the share stops at the
-    first client that raises, where the caller's `client_update` raises too.
+    The share trains as it would in the caller, so both draw the same
+    participation. The one reply per round holds the `local_sgd` results of
+    the clients that trained, in share order, then the error that stopped
+    the share, if one did.
     """
     parent_end.close()  # else the caller's exit would never reach us as EOF
-    with np.errstate(all="ignore"):  # see ClientPool.train
-        while True:
-            try:
-                msg = conn.recv()
-            except EOFError:
-                return
-            if msg is None:
-                return
-            global_params, jobs = msg
-            for k, seed in jobs:
-                outcome = []
-                failed = False
-                try:
-                    client_update(spec, global_params, dataset, profiles[k],
-                                  np.random.default_rng(seed),
-                                  partial(_recorded, outcome))
-                except Exception:  # raised for client k by the caller too
-                    failed = True
-                if outcome:  # client k trained; the caller waits for this
-                    conn.send(outcome[0])
-                if failed:
-                    break
-
-
-def _recorded(outcome: list, *args):
-    """`local_sgd` that also appends its result, or the exception it
-    raised, to `outcome`."""
-    try:
-        outcome.append(local_sgd(*args))
-    except Exception as e:
-        outcome.append(e)
-        raise
-    return outcome[0]
-
-
-def _replies_from(proc, conn):
-    """A `client_update` train step that takes the next reply of the worker
-    `proc` at the other end of `conn` in place of training."""
-
-    def train(*args):
+    while True:
         try:
-            reply = conn.recv()
+            msg = conn.recv()
         except EOFError:
-            raise RuntimeError(f"client worker {proc.pid} died") from None
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
+            return
+        if msg is None:
+            return
+        global_params, jobs = msg
+        trained = []
 
-    return train
+        def train(*args):
+            trained.append(local_sgd(*args))
+            return trained[-1]
+
+        out = _train_share(spec, global_params, dataset, profiles, jobs, train)
+        conn.send(trained + [e for e in out.values() if isinstance(e, Exception)])
 
 
 class ClientPool:
@@ -219,16 +201,15 @@ class ClientPool:
               child_seeds) -> list[ClientUpdate]:
         """Every client's update for one round, in client-index order.
 
-        Each worker gets the weights and its clients' seeds and trains
-        them with the spec, dataset and profiles it was forked with. Here,
-        each share runs on a thread that calls the module's `client_update`
-        for each of its clients in index order, while the calling thread
-        waits (a pool of size one trains on the calling thread): so every
-        client's update is one `client_update` call in this process, whose
-        `train` step is a worker's reply for a worker's client. If clients
-        raise, the lowest-index client's error is raised, as it would be
-        with every client trained in order; the pool is not used again,
-        since a worker may still be replying.
+        Each worker gets the weights and its clients' seeds, trains them
+        with the spec, dataset and profiles it was forked with, and replies
+        once. Meanwhile the caller trains its own share. It then reads one
+        reply from each worker, even a worker none of whose clients took
+        part, and replays it through the module's `client_update`: so every
+        client's update is one `client_update` call in this process. If
+        clients raise, the lowest-index client's error is raised, as it
+        would be with every client trained in order. A worker that died
+        raises `ChildProcessError` naming it.
 
         Floating-point warnings are off while clients train: a worker would
         print its own out of order and without the caller's once-per-line
@@ -236,37 +217,32 @@ class ClientPool:
         still fails the finite check in `nn.loss_and_grad` or the meta-loss
         check.
         """
+        def jobs(share):
+            return [(k, child_seeds[k]) for k in share]
+
+        for proc, conn, share in self._workers:
+            try:
+                conn.send((global_params, jobs(share)))
+            except ConnectionError:
+                raise ChildProcessError(f"client worker {proc.pid} died") from None
         own = [k for k in range(len(profiles)) if k not in self._remote]
-        results: dict[int, ClientUpdate | BaseException] = {}
+        results = _train_share(spec, global_params, dataset, profiles, jobs(own),
+                               local_sgd)
+        for proc, conn, share in self._workers:
+            try:
+                reply = iter(conn.recv())
+            except (EOFError, ConnectionError):
+                raise ChildProcessError(f"client worker {proc.pid} died") from None
 
-        def run_share(share, train):
-            with np.errstate(all="ignore"):
-                for k in share:
-                    try:
-                        results[k] = client_update(
-                            spec, global_params, dataset, profiles[k],
-                            np.random.default_rng(child_seeds[k]), train)
-                    except BaseException as e:  # raised by the caller below
-                        results[k] = e
-                        return
+            def replay(*args):
+                r = next(reply)
+                if isinstance(r, Exception):
+                    raise r
+                return r
 
-        for _, conn, share in self._workers:
-            conn.send((global_params, [(k, child_seeds[k]) for k in share]))
-        # The caller's share starts last: its thread would hold the GIL while
-        # the others start, and each of those blocks at once on its worker.
-        shares = [(share, _replies_from(proc, conn))
-                  for proc, conn, share in self._workers] + [(own, local_sgd)]
-        if len(shares) == 1:
-            run_share(*shares[0])
-        else:
-            # Daemon threads: an interrupted caller does not wait for a share.
-            threads = [threading.Thread(target=run_share, args=s, daemon=True)
-                       for s in shares]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-        failed = [k for k, r in results.items() if isinstance(r, BaseException)]
+            results.update(_train_share(spec, global_params, dataset, profiles,
+                                        jobs(share), replay))
+        failed = [k for k, r in results.items() if isinstance(r, Exception)]
         if failed:
             raise results[min(failed)]
         return [results[k] for k in range(len(profiles))]
@@ -280,11 +256,10 @@ def client_pool(spec: nn.ModelSpec, dataset: Dataset,
                 profiles: list[ClientProfile], threads: int) -> Iterator[ClientPool]:
     """A ClientPool of min(threads, K, usable cores) processes for one run.
 
-    Workers are forked so that the dataset reaches them copy-on-write, before
-    the pool starts any thread of its own that a fork could catch holding a
-    lock. The pool is closed on every exit: joined after a clean run, and
-    terminated first after an error, since a worker blocked writing its reply
-    would never read the stop message.
+    Workers are forked so that the dataset reaches them copy-on-write. The
+    pool is closed on every exit: joined after a clean run, and terminated
+    first after an error, since a worker blocked writing its reply would
+    never read the stop message.
     """
     shares = split_clients(profiles, min(threads, len(profiles), usable_cores()))
     workers = []

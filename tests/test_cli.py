@@ -1,19 +1,46 @@
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from unfoldfed import data, synth
+from unfoldfed import data, synth, verify
 from unfoldfed.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from unfoldfed.config import ConfigError, ExperimentConfig, from_dict, parse_config
 from unfoldfed.experiment import prepare_problem
 from unfoldfed.report import csv_header
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+# A few fields of the config at a time, each any JSON value.
+FUZZED_CONFIGS = st.dictionaries(
+    st.sampled_from([f.name for f in fields(ExperimentConfig)]), JSON_VALUES,
+    max_size=4)
+
+
+def rejected(raw: dict) -> bool:
+    """False if `raw` makes a config, True on a ConfigError; any other
+    exception propagates."""
+    try:
+        from_dict(raw)
+    except ConfigError:
+        return True
+    return False
 
 
 @pytest.fixture
@@ -55,6 +82,21 @@ class TestParseConfig:
             from_dict({"mode": "turbo"})
         with pytest.raises(ConfigError, match="participation_list"):
             from_dict({"participation_list": [1.0, 1.0, 2.0, 0.5, 0.5]})
+
+    @given(raw=FUZZED_CONFIGS)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_gives_a_config_or_a_config_error(self, raw):
+        rejected(raw)
+
+    @given(raw=FUZZED_CONFIGS)
+    @settings(max_examples=15, deadline=None)
+    def test_rejected_json_value_exits_2(self, tmp_path_factory, raw):
+        assume(rejected(raw))
+        path = tmp_path_factory.mktemp("fuzzed") / "c.json"
+        path.write_text(json.dumps(raw))
+        with redirect_stderr(io.StringIO()) as err:
+            assert main(["partition", "--config", str(path)]) == EXIT_CONFIG
+        assert err.getvalue().startswith("config error")
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -269,24 +311,32 @@ class TestCmdRun:
         assert not (tmp_path / "out").exists()
 
 
+def corrupt_sign(monkeypatch):
+    """Flip the sign of every analytic meta-gradient row gradcheck computes."""
+    row = verify.meta_gradient_row
+    monkeypatch.setattr(verify, "meta_gradient_row", lambda *args: -row(*args))
+
+
 class TestCmdGradcheck:
     def test_passes(self, capsys):
         assert main(["gradcheck", "--instances", "5"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
-    def test_corrupted_gradient_fails(self, capsys):
-        assert main(["gradcheck", "--instances", "5", "--corrupt-sign"]) == EXIT_VERIFY
+    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
+        corrupt_sign(monkeypatch)
+        assert main(["gradcheck", "--instances", "5"]) == EXIT_VERIFY
         assert "FAIL" in capsys.readouterr().out
 
-    def test_every_seed_passes_and_sign_corruption_fails(self, capsys):
+    def test_every_seed_passes_and_sign_corruption_fails(self, capsys, monkeypatch):
         # At seeds 7, 16 and 98 one case has FD points that cross a
         # rectifier kink; it is redrawn instead of failing a correct gradient.
         for seed in range(100):
             assert main(["gradcheck", "--seed", str(seed)]) == EXIT_OK, seed
             line = capsys.readouterr().out
             assert (", 1 redrawn" if seed in (7, 16, 98) else ", 0 redrawn") in line
-            assert main(["gradcheck", "--seed", str(seed),
-                         "--corrupt-sign"]) == EXIT_VERIFY, seed
+            with monkeypatch.context() as m:
+                corrupt_sign(m)
+                assert main(["gradcheck", "--seed", str(seed)]) == EXIT_VERIFY, seed
             assert "FAIL" in capsys.readouterr().out
 
     def test_eps_out_of_bounds_exit_2(self):

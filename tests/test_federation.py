@@ -1,4 +1,7 @@
 import multiprocessing as mp
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -284,7 +287,8 @@ class TestClientPool:
         assert split_clients(failing_profiles(toy_dataset, ()), 2) == [[0, 3], [1, 2]]
 
     @pytest.mark.parametrize("setting,threads", [("computation", 2),
-                                                 ("communication", 3)])
+                                                 ("communication", 3),
+                                                 ("communication", 4)])
     def test_rounds_bitwise_equal_to_one_process(self, toy_dataset, many_cores,
                                                  setting, threads):
         profiles = setting_profiles(toy_dataset, setting)
@@ -312,6 +316,9 @@ class TestClientPool:
         assert mp.active_children() == []
         if setting == "communication":
             assert not np.all(masks), "no client skipped a round"
+        if threads == 4:  # a worker with no client to train still replies
+            shares = split_clients(profiles, threads)[1:]
+            assert any(not m[s].any() for m in masks for s in shares)
 
     def test_every_client_is_one_client_update_call_in_the_caller(
             self, toy_dataset, many_cores, monkeypatch):
@@ -332,6 +339,7 @@ class TestClientPool:
                           np.full(5, 0.2), 1.0, 0.0, np.random.SeedSequence(t),
                           eval_batch, eval_batch, pool)
         assert sorted(calls) == sorted(list(range(5)) * 3)
+        assert mp.active_children() == []
 
     @pytest.mark.parametrize("bad", [{1}, {3}, {1, 3}, {0, 2}, {1, 2}])
     def test_lowest_failing_client_raised_as_in_one_process(
@@ -348,4 +356,54 @@ class TestClientPool:
                 run_round(*head, np.random.SeedSequence(4), eval_batch, eval_batch,
                           pool)
         assert str(pooled.value) == str(serial.value)
+        assert mp.active_children() == []
+
+    def test_pooled_rounds_start_no_thread(self, toy_dataset, many_cores,
+                                           monkeypatch):
+        profiles = setting_profiles(toy_dataset, "computation")
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        eval_batch = nn.Batch(toy_dataset.images[:20], toy_dataset.labels[:20])
+        with client_pool(SPEC, toy_dataset, profiles, 3) as pool, \
+                monkeypatch.context() as m:
+            m.setattr(threading.Thread, "start", counted)
+            for t in range(2):
+                run_round(t, nn.init_model(SPEC, 0), SPEC, toy_dataset, profiles,
+                          np.full(5, 0.2), 1.0, 0.0, np.random.SeedSequence(t),
+                          eval_batch, eval_batch, pool)
+        assert started == []
+        assert mp.active_children() == []
+
+    @pytest.mark.parametrize("when", ["between-rounds", "mid-round"])
+    def test_dead_worker_raises_one_error_naming_it(
+            self, toy_dataset, many_cores, monkeypatch, when):
+        profiles = setting_profiles(toy_dataset, "computation")
+        eval_batch = nn.Batch(toy_dataset.images[:20], toy_dataset.labels[:20])
+        if when == "mid-round":  # the worker's clients 2 and 3 train in round 0
+            caller, local_sgd = os.getpid(), federation.local_sgd
+
+            def dies_in_a_worker(*args):
+                if os.getpid() != caller:
+                    os._exit(1)
+                return local_sgd(*args)
+
+            monkeypatch.setattr(federation, "local_sgd", dies_in_a_worker)
+        with pytest.raises(ChildProcessError) as died:
+            with client_pool(SPEC, toy_dataset, profiles, 2) as pool:
+                (worker,) = mp.active_children()
+                for t in range(2):
+                    if when == "between-rounds" and t == 1:
+                        os.kill(worker.pid, signal.SIGKILL)
+                        worker.join(timeout=10)
+                        assert worker.exitcode == -signal.SIGKILL
+                    run_round(t, nn.init_model(SPEC, 0), SPEC, toy_dataset,
+                              profiles, np.full(5, 0.2), 1.0, 0.0,
+                              np.random.SeedSequence(t), eval_batch, eval_batch,
+                              pool)
+        assert str(died.value) == f"client worker {worker.pid} died"
         assert mp.active_children() == []
