@@ -113,11 +113,9 @@ def cmd_partition(args) -> int:
             {
                 "client": s.owner,
                 "size": s.size,
-                "label_histogram": np.bincount(
-                    problem.train.labels[s.indices], minlength=10
-                ).tolist(),
+                "label_histogram": np.bincount(p.data.labels, minlength=10).tolist(),
             }
-            for s in problem.shards
+            for s, p in zip(problem.shards, problem.profiles)
         ],
         "fedavg_weights": [float(t) for t in theta],
     }

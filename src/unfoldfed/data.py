@@ -1,7 +1,8 @@
 """MNIST-format ingestion and client-shard construction.
 
 Builds the three heterogeneity settings (statistical, computation,
-communication) as index shards over a dataset plus per-client profiles.
+communication) as index shards over a dataset, and the per-client profiles
+that hold each client's own rows.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class Shard:
 
 @dataclass(frozen=True)
 class ClientProfile:
-    shard: Shard
+    data: Dataset  # the client's own rows, features scaled
     epochs: int
     local_lr: float
     participation: float
@@ -205,10 +206,11 @@ def partition_balanced(data: Dataset, K: int, per_client: int, seed: int) -> lis
     ]
 
 
-def make_profiles(cfg: ExperimentConfig, shards: list[Shard]) -> list[ClientProfile]:
-    """Attach the setting's per-client epochs and participation to the shards."""
-    if len(shards) != cfg.K:
-        raise ValueError(f"{len(shards)} shards for K={cfg.K}")
+def make_profiles(cfg: ExperimentConfig, data: list[Dataset]) -> list[ClientProfile]:
+    """Attach the setting's per-client epochs and participation to the
+    clients' rows."""
+    if len(data) != cfg.K:
+        raise ValueError(f"{len(data)} clients for K={cfg.K}")
     epochs = [cfg.epochs] * cfg.K
     participation = [1.0] * cfg.K
     if cfg.setting == COMPUTATION:
@@ -217,13 +219,13 @@ def make_profiles(cfg: ExperimentConfig, shards: list[Shard]) -> list[ClientProf
         participation = cfg.participation_list or DEFAULT_PARTICIPATION
     return [
         ClientProfile(
-            shard=shard,
+            data=rows,
             epochs=epochs[k],
             local_lr=cfg.local_lr,
             participation=float(participation[k]),
             batch_size=cfg.batch_size,
         )
-        for k, shard in enumerate(shards)
+        for k, rows in enumerate(data)
     ]
 
 

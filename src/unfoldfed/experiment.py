@@ -11,7 +11,6 @@ from .config import ConfigError, ExperimentConfig
 from .data import (
     STATISTICAL,
     Dataset,
-    Shard,
     load_dataset,
     make_profiles,
     partition_for_setting,
@@ -27,12 +26,12 @@ from .unfolding import softmax_weights, unfold_train
 class Problem:
     """Prepared data and clients for one experiment.
 
-    `train` holds only the rows the clients read, as float64 features in
-    [0, 1], each shard's rows one consecutive block in shard order; the
-    shards index it. The validation and test batches are float64 too.
+    Each profile holds its client's rows, as float64 features in [0, 1];
+    no other training row is kept. `shards` are the partitioner's shards
+    of the training split, for the FedAvg weights and `partition.json`.
+    The validation and test batches are float64 too.
     """
 
-    train: Dataset
     val_batch: nn.Batch
     test_batch: nn.Batch
     shards: list
@@ -58,16 +57,11 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
     except ValueError as e:
         name = "sizes" if cfg.setting == STATISTICAL else "per_client"
         raise ConfigError(f"config field {name!r}: {e}") from e
-    # Clients read only their shards' rows: scale those once, in shard order,
-    # and point each shard at its block of the result.
-    rows = np.concatenate([s.indices for s in shards])
-    clients = Dataset(scale_pixels(train.images[rows]), train.labels[rows])
-    ends = np.cumsum([s.size for s in shards])
-    shards = [Shard(s.owner, np.arange(end - s.size, end))
-              for s, end in zip(shards, ends)]
-    profiles = make_profiles(cfg, shards)
+    profiles = make_profiles(cfg, [
+        Dataset(scale_pixels(train.images[s.indices]), train.labels[s.indices])
+        for s in shards
+    ])
     return Problem(
-        train=clients,
         val_batch=nn.Batch(scale_pixels(val.images), val.labels),
         test_batch=nn.Batch(scale_pixels(test.images), test.labels),
         shards=shards,
@@ -88,8 +82,7 @@ def run_experiment(cfg: ExperimentConfig, problem: Problem | None = None):
     elif cfg.mode == "fixed-uniform":
         fixed_theta = np.full(cfg.K, 1.0 / cfg.K)
     logits, trace = unfold_train(
-        cfg, problem.train, problem.profiles,
-        problem.val_batch, problem.test_batch,
+        cfg, problem.profiles, problem.val_batch, problem.test_batch,
         fixed_theta=fixed_theta,
     )
     history = RunHistory.from_trace(cfg.K, trace)

@@ -3,14 +3,15 @@
 The server update is w <- w + eta_g * sum_k theta_k * delta_k - lambda * w,
 so the map from weights to the next model is affine in theta at fixed deltas.
 
-Clients train in a `ClientPool` of min(threads, K, usable cores) processes.
-The calling process is one of them and trains the heaviest share itself; the
-others are forked once per run and inherit the dataset and the profiles
-copy-on-write. Each round, every worker trains its share and sends one
-reply with the local SGD results, which the caller replays after training
-its own share: so every client's update is one `client_update` call in the
-calling process. Each client draws from its own generator and the server
-reduces in client-index order, so every pool size gives the same bits.
+A client is its profile: its own rows in, a delta out. Clients train in a
+`ClientPool` of min(threads, K, usable cores) processes. The calling process
+is one of them and trains the heaviest share itself; the others are forked
+once per run and inherit the profiles, rows included, copy-on-write. Each
+round, every worker trains its share and sends one reply with the trained
+parameters, which the caller replays after training its own share: so every
+client's update is one `client_update` call in the calling process. Each
+client draws from its own generator and the server reduces in client-index
+order, so every pool size gives the same bits.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ import math
 import multiprocessing as mp
 import os
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .data import ClientProfile, Dataset, Shard
+from .data import ClientProfile, Shard
 
 SIMPLEX_TOL = 1e-6
 
@@ -33,7 +34,6 @@ SIMPLEX_TOL = 1e-6
 @dataclass(frozen=True)
 class ClientUpdate:
     delta: np.ndarray
-    local_loss: float
     participated: bool
 
 
@@ -41,7 +41,6 @@ class ClientUpdate:
 class RoundRecord:
     round: int
     theta: np.ndarray
-    local_losses: np.ndarray
     participation: np.ndarray  # bool mask
     val_loss: float
     test_acc: float
@@ -55,9 +54,9 @@ def fedavg_weights(shards: list[Shard]) -> np.ndarray:
     return sizes / sizes.sum()
 
 
-def check_simplex(theta: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
+def check_simplex(theta: np.ndarray) -> None:
     theta = np.asarray(theta)
-    if np.any(theta < -tol) or abs(theta.sum() - 1.0) > tol:
+    if np.any(theta < -SIMPLEX_TOL) or abs(theta.sum() - 1.0) > SIMPLEX_TOL:
         raise ValueError(
             f"weights off the simplex: sum={theta.sum():.9g}, min={theta.min():.9g}"
         )
@@ -66,33 +65,26 @@ def check_simplex(theta: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
 def local_sgd(
     spec: nn.ModelSpec,
     global_params: np.ndarray,
-    dataset: Dataset,
     profile: ClientProfile,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
-    """`epochs` passes of shuffled mini-batch SGD at the client rate from
-    `global_params`; returns the trained params and the mean training loss
-    over the last epoch."""
-    idx = profile.shard.indices
+) -> np.ndarray:
+    """`epochs` passes of shuffled mini-batch SGD over the client's rows at
+    the client rate from `global_params`; returns the trained params."""
+    data = profile.data
     params = global_params.copy()  # trained in place by nn.sgd_step
-    last_epoch_losses: list[float] = []
-    for epoch in range(profile.epochs):
-        order = rng.permutation(len(idx))
-        losses = []
-        for start in range(0, len(idx), profile.batch_size):
-            rows = idx[order[start:start + profile.batch_size]]
-            batch = nn.Batch(dataset.images[rows], dataset.labels[rows])
-            loss, grad = nn.loss_and_grad(spec, params, batch)
-            losses.append(loss)
+    for _ in range(profile.epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), profile.batch_size):
+            rows = order[start:start + profile.batch_size]
+            batch = nn.Batch(data.images[rows], data.labels[rows])
+            _, grad = nn.loss_and_grad(spec, params, batch)
             params = nn.sgd_step(params, grad, profile.local_lr)
-        last_epoch_losses = losses
-    return params, float(np.mean(last_epoch_losses))
+    return params
 
 
 def client_update(
     spec: nn.ModelSpec,
     global_params: np.ndarray,
-    dataset: Dataset,
     profile: ClientProfile,
     rng: np.random.Generator,
     train=local_sgd,
@@ -104,17 +96,10 @@ def client_update(
     and returns what it does: a `ClientPool` passes one that replays a
     worker's `local_sgd` result for the worker's clients.
     """
-    if profile.shard.size == 0:
-        raise ValueError(f"client {profile.shard.owner} has an empty shard")
-    participated = rng.uniform() < profile.participation
-    if not participated:
-        return ClientUpdate(np.zeros_like(global_params), float("nan"), False)
-    params, local_loss = train(spec, global_params, dataset, profile, rng)
-    return ClientUpdate(
-        delta=params - global_params,
-        local_loss=local_loss,
-        participated=True,
-    )
+    if rng.uniform() < profile.participation:
+        return ClientUpdate(train(spec, global_params, profile, rng) - global_params,
+                            True)
+    return ClientUpdate(np.zeros_like(global_params), False)
 
 
 def usable_cores() -> int:
@@ -132,7 +117,7 @@ def split_clients(profiles: list[ClientProfile], n_shares: int) -> list[list[int
     """
     loads = [0.0] * n_shares
     shares: list[list[int]] = [[] for _ in range(n_shares)]
-    costs = [p.participation * p.epochs * math.ceil(p.shard.size / p.batch_size)
+    costs = [p.participation * p.epochs * math.ceil(len(p.data) / p.batch_size)
              for p in profiles]
     for k in sorted(range(len(profiles)), key=lambda k: costs[k], reverse=True):
         j = loads.index(min(loads))
@@ -142,7 +127,7 @@ def split_clients(profiles: list[ClientProfile], n_shares: int) -> list[list[int
     return [sorted(shares[j]) for j in order]
 
 
-def _train_share(spec, w, dataset, profiles, jobs, train) -> dict:
+def _train_share(spec, w, profiles, jobs, train) -> dict:
     """{k: update or error} for a share's (k, seed) jobs in order, each one
     `client_update` call with `train` as its train step. The share stops at
     the first client that raises."""
@@ -150,7 +135,7 @@ def _train_share(spec, w, dataset, profiles, jobs, train) -> dict:
     with np.errstate(all="ignore"):  # see ClientPool.train
         for k, seed in jobs:
             try:
-                out[k] = client_update(spec, w, dataset, profiles[k],
+                out[k] = client_update(spec, w, profiles[k],
                                        np.random.default_rng(seed), train)
             except Exception as e:  # raised by ClientPool.train
                 out[k] = e
@@ -158,14 +143,14 @@ def _train_share(spec, w, dataset, profiles, jobs, train) -> dict:
     return out
 
 
-def _serve(conn, parent_end, spec, dataset, profiles) -> None:
+def _serve(conn, parent_end, spec, profiles) -> None:
     """Worker loop: one (global_params, [(k, seed)]) message per round, until
     a None message or EOF.
 
     The share trains as it would in the caller, so both draw the same
-    participation. The one reply per round holds the `local_sgd` results of
-    the clients that trained, in share order, then the error that stopped
-    the share, if one did.
+    participation. The one reply per round holds the parameters that
+    `local_sgd` trained, in share order, then the error that stopped the
+    share, if one did.
     """
     parent_end.close()  # else the caller's exit would never reach us as EOF
     while True:
@@ -182,7 +167,7 @@ def _serve(conn, parent_end, spec, dataset, profiles) -> None:
             trained.append(local_sgd(*args))
             return trained[-1]
 
-        out = _train_share(spec, global_params, dataset, profiles, jobs, train)
+        out = _train_share(spec, global_params, profiles, jobs, train)
         conn.send(trained + [e for e in out.values() if isinstance(e, Exception)])
 
 
@@ -197,13 +182,12 @@ class ClientPool:
         self._workers = list(workers)  # (process, connection, client indices)
         self._remote = {k for _, _, share in self._workers for k in share}
 
-    def train(self, spec, global_params, dataset, profiles,
-              child_seeds) -> list[ClientUpdate]:
+    def train(self, spec, global_params, profiles, child_seeds) -> list[ClientUpdate]:
         """Every client's update for one round, in client-index order.
 
         Each worker gets the weights and its clients' seeds, trains them
-        with the spec, dataset and profiles it was forked with, and replies
-        once. Meanwhile the caller trains its own share. It then reads one
+        with the spec and profiles it was forked with, and replies once.
+        Meanwhile the caller trains its own share. It then reads one
         reply from each worker, even a worker none of whose clients took
         part, and replays it through the module's `client_update`: so every
         client's update is one `client_update` call in this process. If
@@ -226,8 +210,7 @@ class ClientPool:
             except ConnectionError:
                 raise ChildProcessError(f"client worker {proc.pid} died") from None
         own = [k for k in range(len(profiles)) if k not in self._remote]
-        results = _train_share(spec, global_params, dataset, profiles, jobs(own),
-                               local_sgd)
+        results = _train_share(spec, global_params, profiles, jobs(own), local_sgd)
         for proc, conn, share in self._workers:
             try:
                 reply = iter(conn.recv())
@@ -240,8 +223,8 @@ class ClientPool:
                     raise r
                 return r
 
-            results.update(_train_share(spec, global_params, dataset, profiles,
-                                        jobs(share), replay))
+            results.update(_train_share(spec, global_params, profiles, jobs(share),
+                                        replay))
         failed = [k for k, r in results.items() if isinstance(r, Exception)]
         if failed:
             raise results[min(failed)]
@@ -252,14 +235,15 @@ SERIAL = ClientPool()
 
 
 @contextmanager
-def client_pool(spec: nn.ModelSpec, dataset: Dataset,
-                profiles: list[ClientProfile], threads: int) -> Iterator[ClientPool]:
+def client_pool(spec: nn.ModelSpec, profiles: list[ClientProfile],
+                threads: int) -> Iterator[ClientPool]:
     """A ClientPool of min(threads, K, usable cores) processes for one run.
 
-    Workers are forked so that the dataset reaches them copy-on-write. The
+    Workers are forked so that the clients' rows reach them copy-on-write. The
     pool is closed on every exit: joined after a clean run, and terminated
     first after an error, since a worker blocked writing its reply would
-    never read the stop message.
+    never read the stop message. A worker that died after its last reply
+    gets no stop message; the others are still stopped and joined.
     """
     shares = split_clients(profiles, min(threads, len(profiles), usable_cores()))
     workers = []
@@ -269,7 +253,7 @@ def client_pool(spec: nn.ModelSpec, dataset: Dataset,
             ctx = mp.get_context("fork")
             mine, theirs = ctx.Pipe()
             proc = ctx.Process(target=_serve,
-                               args=(theirs, mine, spec, dataset, profiles))
+                               args=(theirs, mine, spec, profiles))
             proc.start()
             theirs.close()
             workers.append((proc, mine, share))
@@ -278,7 +262,8 @@ def client_pool(spec: nn.ModelSpec, dataset: Dataset,
     finally:
         for proc, conn, _ in workers:
             if clean:
-                conn.send(None)
+                with suppress(ConnectionError):  # died after its last reply
+                    conn.send(None)
             else:
                 proc.terminate()
             proc.join()
@@ -314,7 +299,6 @@ def run_round(
     t: int,
     global_params: np.ndarray,
     spec: nn.ModelSpec,
-    dataset: Dataset,
     profiles: list[ClientProfile],
     theta: np.ndarray,
     eta_g: float,
@@ -338,7 +322,7 @@ def run_round(
                                pool_size=seed_seq.pool_size)
         for k in range(len(profiles))
     ]
-    updates = pool.train(spec, global_params, dataset, profiles, child_seeds)
+    updates = pool.train(spec, global_params, profiles, child_seeds)
 
     new_params = aggregate(global_params, updates, theta, eta_g, lambda_model)
     val_loss, _ = nn.evaluate(spec, new_params, val)
@@ -346,7 +330,6 @@ def run_round(
     record = RoundRecord(
         round=t,
         theta=np.array(theta, dtype=np.float64),
-        local_losses=np.array([u.local_loss for u in updates]),
         participation=np.array([u.participated for u in updates]),
         val_loss=val_loss,
         test_acc=test_acc,

@@ -15,7 +15,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .data import IdxFormatError
-from .federation import RoundRecord
+from .federation import RoundRecord, check_simplex
 from .unfolding import MetaTrace
 
 
@@ -61,7 +61,7 @@ def emit_csv(history: RunHistory, path) -> None:
 
 
 def read_csv(path) -> RunHistory:
-    """Parse a history written by `emit_csv`; local losses read back as NaN.
+    """Parse a history written by `emit_csv`.
 
     A file that is not such a history, or holds no rows, raises
     IdxFormatError naming the line.
@@ -84,7 +84,6 @@ def read_csv(path) -> RunHistory:
             records.append((int(row[0]), RoundRecord(
                 round=int(row[1]),
                 theta=np.array([float(v) for v in row[4:4 + K]]),
-                local_losses=np.full(K, np.nan),
                 participation=np.array([c == "1" for c in mask]),
                 val_loss=float(row[2]),
                 test_acc=float(row[3]),
@@ -102,8 +101,7 @@ def emit_weights_json(logits: np.ndarray, theta_matrix: np.ndarray, path,
     if logits.shape != theta.shape or logits.ndim != 2:
         raise ValueError(f"shape mismatch: logits {logits.shape}, theta {theta.shape}")
     for row in theta:
-        if abs(row.sum() - 1.0) > 1e-6 or np.any(row < 0):
-            raise ValueError("theta rows must lie on the simplex")
+        check_simplex(row)
     T, K = logits.shape
     doc = {
         "T": T,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .config import ExperimentConfig
-from .data import ClientProfile, Dataset
+from .data import ClientProfile
 from .federation import (
     SERIAL,
     ClientPool,
@@ -88,7 +88,7 @@ def fd_meta_gradient_row(
     if not (1e-6 <= eps <= 1e-2):
         raise ValueError(f"eps {eps} outside [1e-6, 1e-2]")
     z = np.asarray(z_row, dtype=np.float64)
-    updates = [ClientUpdate(d, 0.0, True) for d in deltas]
+    updates = [ClientUpdate(d, True) for d in deltas]
 
     def objective(zq: np.ndarray) -> float:
         w_next = aggregate(w, updates, softmax_weights(zq), eta_g, lambda_model)
@@ -120,7 +120,6 @@ def meta_step(
 def rollout(
     cfg: ExperimentConfig,
     spec: nn.ModelSpec,
-    dataset: Dataset,
     profiles: list[ClientProfile],
     val: nn.Batch,
     test: nn.Batch,
@@ -139,7 +138,7 @@ def rollout(
     w = w0
     for t in range(cfg.T):
         w, rec, deltas = run_round(
-            t, w, spec, dataset, profiles, thetas[t],
+            t, w, spec, profiles, thetas[t],
             cfg.eta_g, cfg.lambda_model,
             np.random.SeedSequence([cfg.seeds["rounds"], m, t]),
             val, test, pool,
@@ -149,7 +148,6 @@ def rollout(
 
 def unfold_train(
     cfg: ExperimentConfig,
-    dataset: Dataset,
     profiles: list[ClientProfile],
     val: nn.Batch,
     test: nn.Batch,
@@ -185,15 +183,14 @@ def unfold_train(
     z = canonical(z)
 
     iterations: list[MetaIteration] = []
-    with client_pool(spec, dataset, profiles, cfg.threads) as pool:
+    with client_pool(spec, profiles, cfg.threads) as pool:
         for m in range(cfg.M):
             thetas = [fixed_theta] * cfg.T if fixed_theta is not None \
                 else [softmax_weights(row) for row in z]
             row_grads = np.zeros((cfg.T, cfg.K))
             meta_loss = 0.0
             records: list[RoundRecord] = []
-            rounds = rollout(cfg, spec, dataset, profiles, val, test, w0,
-                             thetas, m, pool)
+            rounds = rollout(cfg, spec, profiles, val, test, w0, thetas, m, pool)
             for w_next, rec, deltas in rounds:
                 meta_loss += rec.val_loss
                 if fixed_theta is None:
@@ -214,7 +211,6 @@ def unfold_train(
 
 def trajectory_meta_loss(
     cfg: ExperimentConfig,
-    dataset: Dataset,
     profiles: list[ClientProfile],
     val: nn.Batch,
     test: nn.Batch,
@@ -229,5 +225,5 @@ def trajectory_meta_loss(
     spec = cfg.model_spec()
     w0 = nn.init_model(spec, cfg.seeds["model"])
     thetas = [softmax_weights(row) for row in z]
-    rounds = rollout(cfg, spec, dataset, profiles, val, test, w0, thetas, m)
+    rounds = rollout(cfg, spec, profiles, val, test, w0, thetas, m)
     return sum(rec.val_loss for _, rec, _ in rounds)

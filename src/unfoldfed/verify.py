@@ -32,7 +32,7 @@ def gradcheck_instance(rng, eps=1e-3, eta_g=1.0,
     estimate the gradient at z, so such a case cannot judge the analytic row.
     """
     spec, w, deltas, z, val = random_instance(rng)
-    updates = [ClientUpdate(d, 0.0, True) for d in deltas]
+    updates = [ClientUpdate(d, True) for d in deltas]
 
     def rectifier_masks(zq):
         w_q = aggregate(w, updates, softmax_weights(zq), eta_g, lambda_model)

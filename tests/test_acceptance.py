@@ -18,7 +18,6 @@ from unfoldfed.config import ExperimentConfig, from_dict
 from unfoldfed.data import (
     Dataset,
     IdxFormatError,
-    Shard,
     ClientProfile,
     load_idx_images,
     load_idx_labels,
@@ -135,12 +134,10 @@ def test_criterion_4_simplex_and_shift_invariance(desk_paths, desk_runs):
     start = np.zeros((cfg.T, cfg.K))
     shifted = start.copy()
     shifted[3] += 7.3
-    _, t1 = unfold_train(cfg, problem.train, problem.profiles,
-                         problem.val_batch, problem.test_batch,
-                         start_logits=start)
-    _, t2 = unfold_train(cfg, problem.train, problem.profiles,
-                         problem.val_batch, problem.test_batch,
-                         start_logits=shifted)
+    _, t1 = unfold_train(cfg, problem.profiles, problem.val_batch,
+                         problem.test_batch, start_logits=start)
+    _, t2 = unfold_train(cfg, problem.profiles, problem.val_batch,
+                         problem.test_batch, start_logits=shifted)
     for a, b in zip(t1.iterations, t2.iterations):
         assert a.meta_loss == b.meta_loss
         assert np.array_equal(a.logits, b.logits)
@@ -156,21 +153,20 @@ def test_criterion_5_homogeneity_yields_uniform_weights(desk_paths):
     full = load_dataset(desk_paths["train_images"], desk_paths["train_labels"])
     train, val = split_validation(full, 500, seed=0)
     test = load_dataset(desk_paths["test_images"], desk_paths["test_labels"])
-    train = Dataset(scale_pixels(train.images), train.labels)
+    shared = Dataset(scale_pixels(train.images[:300]), train.labels[:300])
     val_batch = nn.Batch(scale_pixels(val.images), val.labels)
     test_batch = nn.Batch(scale_pixels(test.images[:500]), test.labels[:500])
-    shared = Shard(owner=0, indices=np.arange(300, dtype=np.int64))
     profiles = [
-        ClientProfile(shard=Shard(owner=k, indices=shared.indices),
-                      epochs=1, local_lr=0.05, participation=1.0, batch_size=32)
-        for k in range(5)
+        ClientProfile(data=shared, epochs=1, local_lr=0.05, participation=1.0,
+                      batch_size=32)
+        for _ in range(5)
     ]
     for seed in SEEDS:
         cfg = ExperimentConfig(K=5, M=50, T=10, layer_dims=[784, 32, 10],
                                lambda_theta=1e-4,
                                seeds={"model": seed, "data": seed + 1,
                                       "rounds": seed + 2})
-        logits, _ = unfold_train(cfg, train, profiles, val_batch, test_batch)
+        logits, _ = unfold_train(cfg, profiles, val_batch, test_batch)
         for row in logits:
             theta = softmax_weights(row)
             assert np.abs(theta - 0.2).max() <= 0.05, (seed, theta)

