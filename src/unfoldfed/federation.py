@@ -31,6 +31,10 @@ from .data import ClientProfile, Shard
 SIMPLEX_TOL = 1e-6
 
 
+class ClientDivergedError(ValueError):
+    """Local training left a client's parameters non-finite."""
+
+
 @dataclass(frozen=True)
 class ClientUpdate:
     delta: np.ndarray
@@ -69,7 +73,12 @@ def local_sgd(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """`epochs` passes of shuffled mini-batch SGD over the client's rows at
-    the client rate from `global_params`; returns the trained params."""
+    the client rate from `global_params`; returns the trained params.
+
+    Raises ClientDivergedError if they are not all finite. Non-finite
+    entries never become finite again under SGD, so one check at the end
+    sees any that arose on the way.
+    """
     data = profile.data
     params = global_params.copy()  # trained in place by nn.sgd_step
     for _ in range(profile.epochs):
@@ -79,6 +88,8 @@ def local_sgd(
             batch = nn.Batch(data.images[rows], data.labels[rows])
             _, grad = nn.loss_and_grad(spec, params, batch)
             params = nn.sgd_step(params, grad, profile.local_lr)
+    if not np.all(np.isfinite(params)):
+        raise ClientDivergedError("non-finite parameters after local training")
     return params
 
 
@@ -192,14 +203,14 @@ class ClientPool:
         part, and replays it through the module's `client_update`: so every
         client's update is one `client_update` call in this process. If
         clients raise, the lowest-index client's error is raised, as it
-        would be with every client trained in order. A worker that died
-        raises `ChildProcessError` naming it.
+        would be with every client trained in order; a ClientDivergedError
+        is raised again with the client's index. A worker that died raises
+        `ChildProcessError` naming it.
 
         Floating-point warnings are off while clients train: a worker would
         print its own out of order and without the caller's once-per-line
         filter, so stderr would depend on the pool size. A diverging client
-        still fails the finite check in `nn.loss_and_grad` or the meta-loss
-        check.
+        still fails the finite check in `local_sgd` or the meta-loss check.
         """
         def jobs(share):
             return [(k, child_seeds[k]) for k in share]
@@ -227,7 +238,10 @@ class ClientPool:
                                         replay))
         failed = [k for k, r in results.items() if isinstance(r, Exception)]
         if failed:
-            raise results[min(failed)]
+            k = min(failed)
+            if isinstance(results[k], ClientDivergedError):
+                raise ClientDivergedError(f"client {k}: {results[k]}") from None
+            raise results[k]
         return [results[k] for k in range(len(profiles))]
 
 
@@ -307,14 +321,17 @@ def run_round(
     val: nn.Batch,
     test: nn.Batch,
     pool: ClientPool = SERIAL,
-) -> tuple[np.ndarray, RoundRecord, list[np.ndarray]]:
+    val_grad: bool = False,
+) -> tuple[np.ndarray, RoundRecord, list[np.ndarray], np.ndarray | None]:
     """Execute one full round and evaluate the result.
 
     Clients train in `pool`, client k on a generator seeded by the k-th
     child that `spawn` gives a fresh `seed_seq`. The children are built
     directly, leaving `seed_seq` unspawned, so equal arguments give an
-    equal round. Returns the new model, the round record, and the
-    per-client deltas (for the meta-gradient).
+    equal round. Returns the new model, the round record, the per-client
+    deltas and, with `val_grad`, the gradient of the validation loss at
+    the new model (else None): the meta-gradient needs both, and one
+    `nn.loss_and_grad` gives the loss bitwise as `nn.evaluate` does.
     """
     child_seeds = [
         np.random.SeedSequence(seed_seq.entropy,
@@ -325,7 +342,11 @@ def run_round(
     updates = pool.train(spec, global_params, profiles, child_seeds)
 
     new_params = aggregate(global_params, updates, theta, eta_g, lambda_model)
-    val_loss, _ = nn.evaluate(spec, new_params, val)
+    g = None
+    if val_grad:
+        val_loss, g = nn.loss_and_grad(spec, new_params, val)
+    else:
+        val_loss, _ = nn.evaluate(spec, new_params, val)
     _, test_acc = nn.evaluate(spec, new_params, test)
     record = RoundRecord(
         round=t,
@@ -334,4 +355,4 @@ def run_round(
         val_loss=val_loss,
         test_acc=test_acc,
     )
-    return new_params, record, [u.delta for u in updates]
+    return new_params, record, [u.delta for u in updates], g

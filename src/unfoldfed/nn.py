@@ -27,9 +27,20 @@ class ModelSpec:
         object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
 
     @cached_property
+    def layer_slices(self) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+        """(W slice, W shape, b slice) of each layer in the flat vector."""
+        layers = []
+        pos = 0
+        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            w_end = pos + fan_in * fan_out
+            layers.append((slice(pos, w_end), (fan_in, fan_out),
+                           slice(w_end, w_end + fan_out)))
+            pos = w_end + fan_out
+        return tuple(layers)
+
+    @cached_property
     def num_params(self) -> int:
-        dims = self.layer_dims
-        return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
+        return self.layer_slices[-1][2].stop
 
 
 @dataclass(frozen=True)
@@ -77,16 +88,7 @@ def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray,
             f"param vector length {params.shape} does not match spec "
             f"({spec.num_params},)"
         )
-    layers = []
-    pos = 0
-    dims = spec.layer_dims
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = params[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out)
-        pos += fan_in * fan_out
-        b = params[pos:pos + fan_out]
-        pos += fan_out
-        layers.append((w, b))
-    return layers
+    return [(params[w].reshape(shape), params[b]) for w, shape, b in spec.layer_slices]
 
 
 def _forward_pass(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
@@ -103,9 +105,9 @@ def _forward_pass(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
         if i < len(layers) - 1:
             np.maximum(h, 0.0, out=h)
         else:
-            h -= h.max(axis=1, keepdims=True)
+            h -= np.maximum.reduce(h, axis=1, keepdims=True)
             np.exp(h, out=h)
-            h /= h.sum(axis=1, keepdims=True)
+            h /= np.add.reduce(h, axis=1, keepdims=True)
         activations.append(h)
     return h, activations
 
@@ -116,19 +118,24 @@ def forward(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     return probs
 
 
+def _mean_nll(probs: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log of each row's probability of its label."""
+    return float(-(np.add.reduce(np.log(probs[rows, labels])) / len(rows)))
+
+
 def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its exact gradient.
 
-    The gradient is one new vector laid out like `params`; `params` is only read.
+    The loss is bitwise the one `evaluate` returns. The gradient is one new
+    vector laid out like `params`; `params` is only read, and is not checked
+    for non-finite entries (`federation.local_sgd` checks what it trains).
     """
-    if not np.all(np.isfinite(params)):
-        raise ValueError("non-finite entries in parameter vector")
     layers = unpack_params(spec, params)
     probs, acts = _forward_pass(layers, batch.features)
     n = len(batch)
     rows = np.arange(n)
     labels = np.asarray(batch.labels, dtype=np.intp)
-    loss = float(-np.mean(np.log(probs[rows, labels])))
+    loss = _mean_nll(probs, rows, labels)
 
     # Backprop. delta starts as d(loss)/d(logits) of the softmax layer,
     # computed in place on probs, which nothing reads after this point.
@@ -140,11 +147,13 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[fl
     grad_layers = unpack_params(spec, grad)
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
-        np.sum(delta, axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
         np.matmul(acts[i].T, delta, out=gw)
         if i > 0:
             delta = delta @ layers[i][0].T
-            delta[acts[i] <= 0.0] = 0.0  # rectifier mask
+            # Rectifier mask. It writes +0.0; a multiply by the mask would
+            # write -0.0 where delta is negative.
+            np.copyto(delta, 0.0, where=acts[i] <= 0.0)
     return loss, grad
 
 
@@ -170,7 +179,6 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Batch) -> tuple[float, f
     """
     probs, _ = _forward_pass(unpack_params(spec, params), data.features)
     labels = np.asarray(data.labels, dtype=np.intp)
-    picked = probs[np.arange(len(data)), labels]
-    loss = float(-np.mean(np.log(picked)))
+    loss = _mean_nll(probs, np.arange(len(data)), labels)
     acc = float(np.mean(probs.argmax(axis=1) == labels))
     return loss, acc

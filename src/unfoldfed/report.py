@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
@@ -64,7 +65,9 @@ def read_csv(path) -> RunHistory:
     """Parse a history written by `emit_csv`.
 
     A file that is not such a history, or holds no rows, raises
-    IdxFormatError naming the line.
+    IdxFormatError naming the line; so does a row that no run writes: a
+    `val_loss` that is negative or not finite (a run that diverges raises
+    instead), a `test_acc` outside [0, 1] or weights off the simplex.
     """
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
@@ -81,12 +84,19 @@ def read_csv(path) -> RunHistory:
             mask = row[4 + K]
             if len(mask) != K or set(mask) - {"0", "1"}:
                 raise ValueError(f"participation mask {mask!r}")
+            val_loss, test_acc = float(row[2]), float(row[3])
+            if not 0.0 <= val_loss < math.inf:
+                raise ValueError(f"val_loss {row[2]!r} is negative or not finite")
+            if not 0.0 <= test_acc <= 1.0:
+                raise ValueError(f"test_acc {row[3]!r} is not in [0, 1]")
+            theta = np.array([float(v) for v in row[4:4 + K]])
+            check_simplex(theta)
             records.append((int(row[0]), RoundRecord(
                 round=int(row[1]),
-                theta=np.array([float(v) for v in row[4:4 + K]]),
+                theta=theta,
                 participation=np.array([c == "1" for c in mask]),
-                val_loss=float(row[2]),
-                test_acc=float(row[3]),
+                val_loss=val_loss,
+                test_acc=test_acc,
             )))
         except ValueError as e:
             raise IdxFormatError(f"{path} line {line}: {e}") from e

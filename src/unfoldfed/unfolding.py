@@ -19,6 +19,7 @@ from .config import ExperimentConfig
 from .data import ClientProfile
 from .federation import (
     SERIAL,
+    ClientDivergedError,
     ClientPool,
     ClientUpdate,
     RoundRecord,
@@ -52,23 +53,21 @@ def softmax_weights(z_row: np.ndarray) -> np.ndarray:
 
 
 def meta_gradient_row(
-    spec: nn.ModelSpec,
     z_row: np.ndarray,
     deltas: list[np.ndarray],
-    w_next: np.ndarray,
-    val: nn.Batch,
+    g: np.ndarray,
     eta_g: float,
 ) -> np.ndarray:
     """Truncated gradient of the post-round evaluation loss w.r.t. one row.
 
-    With deltas held constant the round map is affine in theta, so with
-    g = grad of the loss at w_next and a_k = eta_g * <g, delta_k>, the
-    softmax chain rule gives d/dz_j = theta_j * (a_j - sum_k theta_k a_k).
+    `g` is the gradient of that loss at the round's new model, as
+    `run_round(..., val_grad=True)` returns it. With deltas held constant
+    the round map is affine in theta, so with a_k = eta_g * <g, delta_k>,
+    the softmax chain rule gives d/dz_j = theta_j * (a_j - sum_k theta_k a_k).
     """
     z = np.asarray(z_row, dtype=np.float64)
     if len(deltas) != len(z):
         raise ValueError(f"{len(deltas)} deltas for {len(z)} logits")
-    _, g = nn.loss_and_grad(spec, w_next, val)
     a = np.array([eta_g * float(g @ d) for d in deltas])
     theta = softmax_weights(z)
     return theta * (a - float(theta @ a))
@@ -127,23 +126,29 @@ def rollout(
     thetas: list[np.ndarray],
     m: int,
     pool: ClientPool = SERIAL,
-) -> Iterator[tuple[np.ndarray, RoundRecord, list[np.ndarray]]]:
+    val_grad: bool = False,
+) -> Iterator[tuple[np.ndarray, RoundRecord, list[np.ndarray], np.ndarray | None]]:
     """The T rounds of meta-iteration m from `w0`, round t weighted by thetas[t].
 
     `spec` is `cfg.model_spec()`, built once per run by the caller, and
     `pool` trains the clients. Round t is seeded from (seeds["rounds"], m, t)
-    only. Yields (w_next, record, deltas) round by round, so only one round's
-    K client deltas are alive.
+    only. Yields `run_round`'s (w_next, record, deltas, g) round by round, so
+    only one round's K client deltas are alive; g is None unless `val_grad`.
+    A client whose training diverges raises ClientDivergedError naming the
+    meta-iteration, the round and the client.
     """
     w = w0
     for t in range(cfg.T):
-        w, rec, deltas = run_round(
-            t, w, spec, profiles, thetas[t],
-            cfg.eta_g, cfg.lambda_model,
-            np.random.SeedSequence([cfg.seeds["rounds"], m, t]),
-            val, test, pool,
-        )
-        yield w, rec, deltas
+        try:
+            w, rec, deltas, g = run_round(
+                t, w, spec, profiles, thetas[t],
+                cfg.eta_g, cfg.lambda_model,
+                np.random.SeedSequence([cfg.seeds["rounds"], m, t]),
+                val, test, pool, val_grad,
+            )
+        except ClientDivergedError as e:
+            raise ClientDivergedError(f"meta-iteration {m}, round {t}, {e}") from None
+        yield w, rec, deltas, g
 
 
 def unfold_train(
@@ -190,13 +195,13 @@ def unfold_train(
             row_grads = np.zeros((cfg.T, cfg.K))
             meta_loss = 0.0
             records: list[RoundRecord] = []
-            rounds = rollout(cfg, spec, profiles, val, test, w0, thetas, m, pool)
-            for w_next, rec, deltas in rounds:
+            rounds = rollout(cfg, spec, profiles, val, test, w0, thetas, m, pool,
+                             val_grad=fixed_theta is None)
+            for _, rec, deltas, g in rounds:
                 meta_loss += rec.val_loss
                 if fixed_theta is None:
                     row_grads[rec.round] = meta_gradient_row(
-                        spec, z[rec.round], deltas, w_next, val, cfg.eta_g,
-                    )
+                        z[rec.round], deltas, g, cfg.eta_g)
                 records.append(rec)
             if not np.isfinite(meta_loss):
                 raise FloatingPointError(
@@ -226,4 +231,4 @@ def trajectory_meta_loss(
     w0 = nn.init_model(spec, cfg.seeds["model"])
     thetas = [softmax_weights(row) for row in z]
     rounds = rollout(cfg, spec, profiles, val, test, w0, thetas, m)
-    return sum(rec.val_loss for _, rec, _ in rounds)
+    return sum(rec.val_loss for _, rec, _, _ in rounds)

@@ -46,7 +46,8 @@ def gradcheck_instance(rng, eps=1e-3, eta_g=1.0,
         return None
 
     w_next = aggregate(w, updates, softmax_weights(z), eta_g, lambda_model)
-    analytic = meta_gradient_row(spec, z, deltas, w_next, val, eta_g)
+    _, g = nn.loss_and_grad(spec, w_next, val)
+    analytic = meta_gradient_row(z, deltas, g, eta_g)
     fd = fd_meta_gradient_row(spec, z, w, deltas, val, eta_g, lambda_model, eps)
     scale = max(float(np.abs(fd).max()), 1e-12)
     return float(np.abs(analytic - fd).max()) / scale

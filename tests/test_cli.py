@@ -371,7 +371,13 @@ class TestCmdReport:
         assert (rep / "accuracy.svg").exists()
 
     @pytest.mark.parametrize("row", ["0,1", "0,1,x,0.5,0.2,0.2,0.2,0.2,0.2,11111",
-                                     "0,1,1.0,0.5,0.2,0.2,0.2,0.2,0.2,1121", ""])
+                                     "0,1,1.0,0.5,0.2,0.2,0.2,0.2,0.2,1121", "",
+                                     "0,1,inf,0.5,0.2,0.2,0.2,0.2,0.2,11111",
+                                     "0,1,nan,0.5,0.2,0.2,0.2,0.2,0.2,11111",
+                                     "0,1,1.0,1.5,0.2,0.2,0.2,0.2,0.2,11111",
+                                     "0,1,1.0,nan,0.2,0.2,0.2,0.2,0.2,11111",
+                                     "0,1,-1.0,0.5,0.2,0.2,0.2,0.2,0.2,11111",
+                                     "0,1,1.0,0.5,0.9,0.9,0.9,0.9,0.9,11111"])
     def test_malformed_row_exit_3(self, tmp_path, capsys, row):
         path = tmp_path / "h.csv"
         # The empty row stands for a file that holds only the header.

@@ -14,6 +14,7 @@ from unfoldfed.config import ExperimentConfig
 from unfoldfed.data import (ClientProfile, Dataset, Shard, make_profiles,
                             partition_balanced)
 from unfoldfed.federation import (
+    ClientDivergedError,
     ClientUpdate,
     aggregate,
     client_pool,
@@ -197,7 +198,7 @@ class TestRunRound:
         w = nn.init_model(SPEC, 3)
         theta = fedavg_weights(shards)
         seed = np.random.SeedSequence([99, 0, 0])
-        w_next, _, _ = run_round(
+        w_next, _, _, _ = run_round(
             0, w, SPEC, profiles, theta, 1.0, 0.0,
             np.random.SeedSequence([99, 0, 0]), eval_batch, eval_batch,
         )
@@ -209,8 +210,8 @@ class TestRunRound:
         args = (0, nn.init_model(SPEC, 3), SPEC, profiles,
                 np.full(3, 1 / 3), 1.0, 1e-4, np.random.SeedSequence([5, 0, 0]),
                 eval_batch, eval_batch)
-        w1, rec1, deltas1 = run_round(*args)
-        w2, rec2, deltas2 = run_round(*args)
+        w1, rec1, deltas1, _ = run_round(*args)
+        w2, rec2, deltas2, _ = run_round(*args)
         assert np.array_equal(w1, w2)
         assert all(np.array_equal(a, b) for a, b in zip(deltas1, deltas2))
         assert np.array_equal(rec1.participation, rec2.participation)
@@ -228,7 +229,7 @@ class TestRunRound:
         prof = profile_for(toy_dataset, np.arange(40), lr=0.05, batch=40)
         w = nn.init_model(SPEC, 4)
         eval_batch = nn.Batch(toy_dataset.images[:30], toy_dataset.labels[:30])
-        w_next, _, _ = run_round(
+        w_next, _, _, _ = run_round(
             0, w, SPEC, [prof], np.array([1.0]), 1.0, 0.0,
             np.random.SeedSequence(0), eval_batch, eval_batch,
         )
@@ -249,7 +250,7 @@ class TestRunRound:
         ]
         w = nn.init_model(SPEC, 5)
         eval_batch = nn.Batch(toy_dataset.images[:20], toy_dataset.labels[:20])
-        w_next, rec, _ = run_round(
+        w_next, rec, _, _ = run_round(
             0, w, SPEC, profiles, np.array([0.5, 0.5]), 1.0, 0.01,
             np.random.SeedSequence(1), eval_batch, eval_batch,
         )
@@ -301,10 +302,10 @@ class TestClientPool:
             assert len(mp.active_children()) == threads - 1
             for t in range(4):
                 head = (t, w, SPEC, profiles, theta, 1.0, 1e-4)
-                w_pool, rec_pool, deltas_pool = run_round(
+                w_pool, rec_pool, deltas_pool, _ = run_round(
                     *head, np.random.SeedSequence([7, 0, t]), eval_batch,
                     eval_batch, pool)
-                w, rec, deltas = run_round(
+                w, rec, deltas, _ = run_round(
                     *head, np.random.SeedSequence([7, 0, t]), eval_batch, eval_batch)
                 assert np.array_equal(w_pool, w)
                 assert all(np.array_equal(a, b) for a, b in zip(deltas_pool, deltas))
@@ -355,6 +356,24 @@ class TestClientPool:
                           pool)
         assert str(pooled.value) == str(serial.value)
         assert mp.active_children() == []
+
+    def test_nonfinite_params_raise_naming_the_client(self, toy_dataset,
+                                                      many_cores):
+        # local_sgd checks what it trained, in the caller and in a worker;
+        # the lowest-index client is named whatever the pool size.
+        profiles = setting_profiles(toy_dataset, "computation")
+        w = nn.init_model(SPEC, 0)
+        w[3] = np.nan
+        seeds = [np.random.SeedSequence([4, k]) for k in range(5)]
+        for threads in (1, 2):
+            with client_pool(SPEC, profiles, threads) as pool:
+                with pytest.raises(ClientDivergedError) as diverged:
+                    pool.train(SPEC, w, profiles, seeds)
+            assert str(diverged.value) == \
+                "client 0: non-finite parameters after local training"
+        assert mp.active_children() == []
+        with pytest.raises(ValueError, match="non-finite"):
+            federation.local_sgd(SPEC, w, profiles[2], np.random.default_rng(0))
 
     def test_pooled_rounds_start_no_thread(self, toy_dataset, many_cores,
                                            monkeypatch):

@@ -152,7 +152,8 @@ class TestLossAndGrad:
         loss, grad = nn.loss_and_grad(spec, params, batch)
         ref_loss, ref_grad = reference_loss_and_grad(spec, params, batch)
         assert loss == ref_loss
-        assert np.array_equal(grad, ref_grad)
+        # Bytes, not values: np.array_equal takes -0.0 for +0.0.
+        assert grad.tobytes() == ref_grad.tobytes()
         assert np.array_equal(params, before)
 
     def test_zero_params_log_uniform_loss(self):
@@ -182,13 +183,6 @@ class TestLossAndGrad:
         l2, g2 = nn.loss_and_grad(spec, params, doubled)
         assert l1 == pytest.approx(l2, abs=1e-12)
         assert np.allclose(g1, g2, atol=1e-12)
-
-    def test_rejects_nonfinite_params(self, tiny_batch):
-        spec = nn.ModelSpec((4, 3, 2))
-        params = nn.init_model(spec, 0)
-        params[3] = np.nan
-        with pytest.raises(ValueError):
-            nn.loss_and_grad(spec, params, tiny_batch)
 
 
 class TestSgdStep:

@@ -60,26 +60,27 @@ class TestMetaGradientRow:
         spec = nn.ModelSpec((4, 3, 2))
         w = nn.init_model(spec, 0)
         d = np.random.default_rng(1).normal(size=spec.num_params)
-        grad = meta_gradient_row(spec, np.array([0.5, -0.3, 1.0]), [d, d, d],
-                                 w, tiny_batch, 1.0)
+        _, g = nn.loss_and_grad(spec, w, tiny_batch)
+        grad = meta_gradient_row(np.array([0.5, -0.3, 1.0]), [d, d, d], g, 1.0)
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_single_client_zero_gradient(self, tiny_batch):
         spec = nn.ModelSpec((4, 3, 2))
         w = nn.init_model(spec, 0)
         d = np.ones(spec.num_params)
-        grad = meta_gradient_row(spec, np.array([0.7]), [d], w, tiny_batch, 1.0)
+        _, g = nn.loss_and_grad(spec, w, tiny_batch)
+        grad = meta_gradient_row(np.array([0.7]), [d], g, 1.0)
         assert np.allclose(grad, [0.0], atol=1e-15)
 
     def test_matches_fd_oracle(self):
         max_err, _ = run_gradcheck(n_instances=5, seed=0)
         assert max_err < 1e-4
 
-    def test_dimension_mismatch_rejected(self, tiny_batch):
+    def test_dimension_mismatch_rejected(self):
         spec = nn.ModelSpec((4, 3, 2))
         with pytest.raises(ValueError):
-            meta_gradient_row(spec, np.zeros(3), [np.zeros(spec.num_params)],
-                              nn.init_model(spec, 0), tiny_batch, 1.0)
+            meta_gradient_row(np.zeros(3), [np.zeros(spec.num_params)],
+                              np.zeros(spec.num_params), 1.0)
 
 
 class TestFdMetaGradientRow:
@@ -211,9 +212,9 @@ class TestUnfoldTrain:
         z = trace.iterations[0].logits
         w0 = nn.init_model(SPEC, cfg.seeds["model"])
         thetas = [softmax_weights(row) for row in z]
-        w1, _, deltas = next(rollout(cfg, SPEC, profiles, val, test,
-                                     w0, thetas, m=0))
-        row = meta_gradient_row(SPEC, z[0], deltas, w1, val, cfg.eta_g)
+        _, _, deltas, g = next(rollout(cfg, SPEC, profiles, val, test,
+                                       w0, thetas, m=0, val_grad=True))
+        row = meta_gradient_row(z[0], deltas, g, cfg.eta_g)
         eps = 1e-2
         fd_full = np.empty(3)
         for j in range(3):
@@ -226,6 +227,49 @@ class TestUnfoldTrain:
             ) / (2 * eps)
         assert np.all(np.isfinite(fd_full))
         assert np.array_equal(np.sign(fd_full), np.sign(row)), (fd_full, row)
+
+    def test_merged_validation_pass_bitwise_equal_to_two_passes(self,
+                                                               toy_dataset):
+        # The learned path takes a round's val_loss and the meta-gradient's g
+        # from one loss_and_grad: the loss is evaluate's, and the row is the
+        # one a second validation pass at w_next gives, bit for bit.
+        profiles, val, test = small_problem(toy_dataset)
+        cfg = self._cfg(T=4)
+        w0 = nn.init_model(SPEC, cfg.seeds["model"])
+        z = np.random.default_rng(0).normal(size=(cfg.T, cfg.K))
+        thetas = [softmax_weights(row) for row in z]
+        merged = rollout(cfg, SPEC, profiles, val, test, w0, thetas, m=1,
+                         val_grad=True)
+        plain = rollout(cfg, SPEC, profiles, val, test, w0, thetas, m=1)
+        for (w, rec, deltas, g), (w_ref, rec_ref, _, no_g) in zip(merged, plain):
+            assert no_g is None
+            assert w.tobytes() == w_ref.tobytes()
+            assert rec.val_loss == rec_ref.val_loss == nn.evaluate(SPEC, w, val)[0]
+            assert rec.test_acc == rec_ref.test_acc
+            _, g_two = nn.loss_and_grad(SPEC, w, val)
+            assert g.tobytes() == g_two.tobytes()
+            a = np.array([cfg.eta_g * float(g_two @ d) for d in deltas])
+            theta = softmax_weights(z[rec.round])
+            two_pass_row = theta * (a - float(theta @ a))
+            row = meta_gradient_row(z[rec.round], deltas, g, cfg.eta_g)
+            assert row.tobytes() == two_pass_row.tobytes()
+
+    def test_diverged_client_named_alike_at_any_pool_size(self, toy_dataset,
+                                                         many_cores):
+        # Client 2 trains in the worker at threads=2 (shares [0, 1, 4] and
+        # [2, 3]); a NaN pixel makes its parameters NaN in round 0.
+        profiles = setting_profiles(toy_dataset, "computation")
+        profiles[2].data.images[0, 0] = np.nan
+        _, val, test = small_problem(toy_dataset)
+        messages = []
+        for threads in (1, 2):
+            cfg = self._cfg(K=5, setting="computation", threads=threads)
+            with pytest.raises(ValueError) as diverged:
+                unfold_train(cfg, profiles, val, test)
+            messages.append(str(diverged.value))
+        assert mp.active_children() == []
+        assert messages == ["meta-iteration 0, round 0, client 2: "
+                            "non-finite parameters after local training"] * 2
 
     @pytest.mark.parametrize("setting", ["computation", "communication"])
     def test_pool_bitwise_equal_to_one_process(self, toy_dataset, many_cores,
