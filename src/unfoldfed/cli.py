@@ -12,6 +12,7 @@ or a client worker that died.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -58,15 +59,12 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
         f.write("\n")
 
 
-def cmd_run(args) -> int:
-    cfg = _load_config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    t0 = time.perf_counter()
-    history, logits, theta_matrix = run_experiment(cfg)
+def write_artifacts(cfg: ExperimentConfig, history, logits, theta_matrix) -> None:
+    """Write what `run_experiment` returned into the existing `cfg.out_dir`:
+    history.csv, weights.json (learned weights only), the three charts and
+    manifest.json."""
     report.emit_csv(history, os.path.join(cfg.out_dir, "history.csv"))
     if logits is not None:
-        import hashlib
-
         # Hash only fields that influence results: dataset paths, out_dir
         # and threads must not change artifact bytes.
         ignored = (*DATA_PATH_KEYS, "out_dir", "threads")
@@ -81,6 +79,14 @@ def cmd_run(args) -> int:
     for kind in ("accuracy", "loss", "weights"):
         report.render_svg(history, kind, os.path.join(cfg.out_dir, f"{kind}.svg"))
     _write_manifest(cfg, cfg.out_dir)
+
+
+def cmd_run(args) -> int:
+    cfg = _load_config(args)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    t0 = time.perf_counter()
+    history, logits, theta_matrix = run_experiment(cfg)
+    write_artifacts(cfg, history, logits, theta_matrix)
     elapsed = time.perf_counter() - t0
     print(f"mode={cfg.mode} final_test_accuracy={final_test_accuracy(history):.4f} "
           f"wall_clock={elapsed:.1f}s")
@@ -105,17 +111,17 @@ def cmd_gradcheck(args) -> int:
 def cmd_partition(args) -> int:
     cfg = _load_config(args)
     problem = prepare_problem(cfg)
-    theta = fedavg_weights(problem.shards)
+    theta = fedavg_weights(problem.profiles)
     summary = {
         "setting": cfg.setting,
         "K": cfg.K,
         "shards": [
             {
-                "client": s.owner,
-                "size": s.size,
+                "client": k,
+                "size": len(p.data),
                 "label_histogram": np.bincount(p.data.labels, minlength=10).tolist(),
             }
-            for s, p in zip(problem.shards, problem.profiles)
+            for k, p in enumerate(problem.profiles)
         ],
         "fedavg_weights": [float(t) for t in theta],
     }

@@ -58,18 +58,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Shard:
-    """A client's slice of the parent dataset, by index."""
-
-    owner: int
-    indices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class ClientProfile:
     data: Dataset  # the client's own rows, features scaled
     epochs: int
@@ -153,7 +141,7 @@ def default_label_map(K: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(l % NUM_CLASSES for l in (2 * k, 2 * k + 1)) for k in range(K))
 
 
-def partition_statistical(data: Dataset, sizes, label_map, seed: int) -> list[Shard]:
+def partition_statistical(data: Dataset, sizes, label_map, seed: int) -> list[np.ndarray]:
     """Label-skew split: client k draws sizes[k] samples from label_map[k]."""
     rng = np.random.default_rng(seed)
     by_label = {c: np.flatnonzero(data.labels == c) for c in range(NUM_CLASSES)}
@@ -173,11 +161,11 @@ def partition_statistical(data: Dataset, sizes, label_map, seed: int) -> list[Sh
             remaining[c] = np.array(
                 [i for i in remaining[c] if i not in taken], dtype=np.int64
             )
-        shards.append(Shard(owner=k, indices=np.sort(take)))
+        shards.append(np.sort(take))
     return shards
 
 
-def partition_balanced(data: Dataset, K: int, per_client: int, seed: int) -> list[Shard]:
+def partition_balanced(data: Dataset, K: int, per_client: int, seed: int) -> list[np.ndarray]:
     """Disjoint equal-size shards with a stratified (per-label) draw."""
     if K * per_client > len(data):
         raise ValueError(
@@ -200,10 +188,7 @@ def partition_balanced(data: Dataset, K: int, per_client: int, seed: int) -> lis
                 raise ValueError(f"not enough samples of label {c} for stratified draw")
             cursors[c] += want
             shards[k].extend(got.tolist())
-    return [
-        Shard(owner=k, indices=np.sort(np.array(idx, dtype=np.int64)))
-        for k, idx in enumerate(shards)
-    ]
+    return [np.sort(np.array(idx, dtype=np.int64)) for idx in shards]
 
 
 def make_profiles(cfg: ExperimentConfig, data: list[Dataset]) -> list[ClientProfile]:
@@ -229,8 +214,9 @@ def make_profiles(cfg: ExperimentConfig, data: list[Dataset]) -> list[ClientProf
     ]
 
 
-def partition_for_setting(data: Dataset, cfg: ExperimentConfig) -> list[Shard]:
-    """Dispatch to the partitioner matching the setting."""
+def partition_for_setting(data: Dataset, cfg: ExperimentConfig) -> list[np.ndarray]:
+    """Dispatch to the partitioner matching the setting. Each partitioner
+    returns one shard per client: its sorted int64 row indices into `data`."""
     seed = cfg.seeds["data"]
     if cfg.setting == STATISTICAL:
         return partition_statistical(

@@ -18,23 +18,21 @@ from .data import (
     split_validation,
 )
 from .federation import fedavg_weights
-from .report import RunHistory
-from .unfolding import softmax_weights, unfold_train
+from .unfolding import RunHistory, softmax_weights, unfold_train
 
 
 @dataclass
 class Problem:
     """Prepared data and clients for one experiment.
 
-    Each profile holds its client's rows, as float64 features in [0, 1];
-    no other training row is kept. `shards` are the partitioner's shards
-    of the training split, for the FedAvg weights and `partition.json`.
-    The validation and test batches are float64 too.
+    Client k is `profiles[k]`: its own rows of the training split, as
+    float64 features in [0, 1], which also give its FedAvg weight and its
+    entry in `partition.json`. No other training row is kept. The
+    validation and test batches are float64 too.
     """
 
     val_batch: nn.Batch
     test_batch: nn.Batch
-    shards: list
     profiles: list
 
 
@@ -53,18 +51,17 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
     except ValueError as e:
         raise ConfigError(f"config field 'val_size': {e}") from e
     try:
-        shards = partition_for_setting(train, cfg)
+        indices = partition_for_setting(train, cfg)
     except ValueError as e:
         name = "sizes" if cfg.setting == STATISTICAL else "per_client"
         raise ConfigError(f"config field {name!r}: {e}") from e
     profiles = make_profiles(cfg, [
-        Dataset(scale_pixels(train.images[s.indices]), train.labels[s.indices])
-        for s in shards
+        Dataset(scale_pixels(train.images[idx]), train.labels[idx])
+        for idx in indices
     ])
     return Problem(
         val_batch=nn.Batch(scale_pixels(val.images), val.labels),
         test_batch=nn.Batch(scale_pixels(test.images), test.labels),
-        shards=shards,
         profiles=profiles,
     )
 
@@ -72,20 +69,20 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
 def run_experiment(cfg: ExperimentConfig, problem: Problem | None = None):
     """Run the configured mode; returns (history, logits, theta_matrix).
 
-    For the baseline modes `logits` and `theta_matrix` are None.
+    `history` is the RunHistory that `unfold_train` built. For the baseline
+    modes `logits` and `theta_matrix` are None.
     """
     if problem is None:
         problem = prepare_problem(cfg)
     fixed_theta = None
     if cfg.mode == "fedavg":
-        fixed_theta = fedavg_weights(problem.shards)
+        fixed_theta = fedavg_weights(problem.profiles)
     elif cfg.mode == "fixed-uniform":
         fixed_theta = np.full(cfg.K, 1.0 / cfg.K)
-    logits, trace = unfold_train(
+    logits, history = unfold_train(
         cfg, problem.profiles, problem.val_batch, problem.test_batch,
         fixed_theta=fixed_theta,
     )
-    history = RunHistory.from_trace(cfg.K, trace)
     if fixed_theta is not None:
         return history, None, None
     theta_matrix = np.stack([softmax_weights(row) for row in logits])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import ClientProfile, Shard
+from .data import ClientProfile
 
 SIMPLEX_TOL = 1e-6
 
@@ -50,11 +50,9 @@ class RoundRecord:
     test_acc: float
 
 
-def fedavg_weights(shards: list[Shard]) -> np.ndarray:
+def fedavg_weights(profiles: list[ClientProfile]) -> np.ndarray:
     """Data-proportional weights theta_k = |D_k| / sum_j |D_j|."""
-    sizes = np.array([s.size for s in shards], dtype=np.float64)
-    if np.any(sizes <= 0):
-        raise ValueError("all shard sizes must be positive")
+    sizes = np.array([len(p.data) for p in profiles], dtype=np.float64)
     return sizes / sizes.sum()
 
 

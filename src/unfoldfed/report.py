@@ -10,36 +10,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .data import IdxFormatError
 from .federation import RoundRecord, check_simplex
-from .unfolding import MetaTrace
+from .unfolding import RunHistory
 
 
 def fmt(x: float) -> str:
     return f"{float(x):.9g}"
-
-
-@dataclass(frozen=True)
-class RunHistory:
-    """Everything a run produced, ready for serialization."""
-
-    K: int
-    rounds: list[tuple[int, RoundRecord]]  # (meta_iter, record)
-    meta_losses: list[float] = field(default_factory=list)
-
-    @staticmethod
-    def from_trace(K: int, trace: MetaTrace) -> "RunHistory":
-        rounds = [(it.m, rec) for it in trace.iterations for rec in it.records]
-        return RunHistory(
-            K=K,
-            rounds=rounds,
-            meta_losses=[it.meta_loss for it in trace.iterations],
-        )
 
 
 def csv_header(K: int) -> str:
@@ -67,7 +48,10 @@ def read_csv(path) -> RunHistory:
     A file that is not such a history, or holds no rows, raises
     IdxFormatError naming the line; so does a row that no run writes: a
     `val_loss` that is negative or not finite (a run that diverges raises
-    instead), a `test_acc` outside [0, 1] or weights off the simplex.
+    instead), a `test_acc` outside [0, 1], weights off the simplex, or a
+    row out of order. With T the number of leading rows of meta-iteration
+    0, row i must be round i % T of meta-iteration i // T, and the last
+    meta-iteration must have all T rounds.
     """
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
@@ -77,7 +61,8 @@ def read_csv(path) -> RunHistory:
     if len(rows) == 1:
         raise IdxFormatError(f"{path} line 2: no rows after the header")
     records = []
-    for line, row in enumerate(rows[1:], start=2):
+    T = 0  # rows per meta-iteration, known at the first row of meta-iteration 1
+    for i, row in enumerate(rows[1:]):
         try:
             if len(row) != 5 + K:
                 raise ValueError(f"{len(row)} fields, expected {5 + K}")
@@ -91,15 +76,26 @@ def read_csv(path) -> RunHistory:
                 raise ValueError(f"test_acc {row[3]!r} is not in [0, 1]")
             theta = np.array([float(v) for v in row[4:4 + K]])
             check_simplex(theta)
-            records.append((int(row[0]), RoundRecord(
-                round=int(row[1]),
+            m, t = int(row[0]), int(row[1])
+            if not T and m != 0:
+                T = i
+            expected = divmod(i, T) if T else (0, i)
+            if (m, t) != expected:
+                raise ValueError(f"(meta_iter, round) {(m, t)} out of order, "
+                                 f"expected {expected}")
+            records.append((m, RoundRecord(
+                round=t,
                 theta=theta,
                 participation=np.array([c == "1" for c in mask]),
                 val_loss=val_loss,
                 test_acc=test_acc,
             )))
         except ValueError as e:
-            raise IdxFormatError(f"{path} line {line}: {e}") from e
+            raise IdxFormatError(f"{path} line {i + 2}: {e}") from e
+    if T and len(records) % T:
+        m, last = records[-1]
+        raise IdxFormatError(f"{path} line {len(rows)}: meta-iteration {m} ends "
+                             f"after {last.round + 1} of {T} rounds")
     return RunHistory(K=K, rounds=records)
 
 

@@ -10,7 +10,7 @@ round's immediate effect, with a finite-difference oracle alongside.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,19 +30,19 @@ from .federation import (
 
 
 @dataclass(frozen=True)
-class MetaIteration:
-    m: int
-    meta_loss: float
-    logits: np.ndarray          # T x K, as applied this iteration
-    records: list[RoundRecord]
+class RunHistory:
+    """Everything a run produced, in meta-iteration order.
 
+    `rounds` holds every round's record with its meta-iteration. Entry m of
+    `meta_losses` is meta-iteration m's accumulated validation loss, and
+    entry m of `logits` the T x K logits it applied. A history read back
+    from `history.csv` has rounds only.
+    """
 
-@dataclass(frozen=True)
-class MetaTrace:
-    iterations: list[MetaIteration]
-
-    def meta_losses(self) -> np.ndarray:
-        return np.array([it.meta_loss for it in self.iterations])
+    K: int
+    rounds: list[tuple[int, RoundRecord]] = field(default_factory=list)
+    meta_losses: list[float] = field(default_factory=list)
+    logits: list[np.ndarray] = field(default_factory=list)
 
 
 def softmax_weights(z_row: np.ndarray) -> np.ndarray:
@@ -158,8 +158,9 @@ def unfold_train(
     test: nn.Batch,
     fixed_theta: np.ndarray | None = None,
     start_logits: np.ndarray | None = None,
-) -> tuple[np.ndarray, MetaTrace]:
-    """Run M meta-iterations of T unrolled rounds each.
+) -> tuple[np.ndarray, RunHistory]:
+    """Run M meta-iterations of T unrolled rounds each; returns the final
+    logits and the run's RunHistory.
 
     Every meta-iteration restarts from the same seeded initial model so the
     round index t of each logits row keeps its meaning. With `fixed_theta`
@@ -187,14 +188,13 @@ def unfold_train(
         raise ValueError(f"logits shape {z.shape}, expected {(cfg.T, cfg.K)}")
     z = canonical(z)
 
-    iterations: list[MetaIteration] = []
+    history = RunHistory(cfg.K)
     with client_pool(spec, profiles, cfg.threads) as pool:
         for m in range(cfg.M):
             thetas = [fixed_theta] * cfg.T if fixed_theta is not None \
                 else [softmax_weights(row) for row in z]
             row_grads = np.zeros((cfg.T, cfg.K))
             meta_loss = 0.0
-            records: list[RoundRecord] = []
             rounds = rollout(cfg, spec, profiles, val, test, w0, thetas, m, pool,
                              val_grad=fixed_theta is None)
             for _, rec, deltas, g in rounds:
@@ -202,16 +202,17 @@ def unfold_train(
                 if fixed_theta is None:
                     row_grads[rec.round] = meta_gradient_row(
                         z[rec.round], deltas, g, cfg.eta_g)
-                records.append(rec)
+                history.rounds.append((m, rec))
             if not np.isfinite(meta_loss):
                 raise FloatingPointError(
                     f"meta-loss diverged at meta-iteration {m}: {meta_loss}"
                 )
-            iterations.append(MetaIteration(m, meta_loss, z.copy(), records))
+            history.meta_losses.append(meta_loss)
+            history.logits.append(z)  # z is rebound below, never written in place
             if fixed_theta is None:
                 z = canonical(meta_step(z, row_grads, cfg.eta_meta,
                                         cfg.lambda_theta))
-    return z, MetaTrace(iterations)
+    return z, history
 
 
 def trajectory_meta_loss(

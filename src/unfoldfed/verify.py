@@ -9,34 +9,38 @@ from .federation import ClientUpdate, aggregate
 from .unfolding import fd_meta_gradient_row, meta_gradient_row, softmax_weights
 
 
-def random_instance(rng: np.random.Generator, dims=(4, 3, 2), n_clients=3,
-                    n_val=8):
+# Every case: a 4-3-2 model, 3 clients, 8 validation rows, and the server
+# update at eta_g 1 without weight decay.
+SPEC = nn.ModelSpec((4, 3, 2))
+N_CLIENTS, N_VAL = 3, 8
+ETA_G, LAMBDA_MODEL = 1.0, 0.0
+
+
+def random_instance(rng: np.random.Generator):
     """One random (model, deltas, logits, val batch) verification case."""
-    spec = nn.ModelSpec(dims)
-    w = nn.init_model(spec, int(rng.integers(2**31)))
-    deltas = [rng.normal(scale=0.1, size=spec.num_params) for _ in range(n_clients)]
-    z = rng.normal(size=n_clients)
+    w = nn.init_model(SPEC, int(rng.integers(2**31)))
+    deltas = [rng.normal(scale=0.1, size=SPEC.num_params) for _ in range(N_CLIENTS)]
+    z = rng.normal(size=N_CLIENTS)
     val = nn.Batch(
-        rng.uniform(size=(n_val, dims[0])),
-        rng.integers(dims[-1], size=n_val),
+        rng.uniform(size=(N_VAL, SPEC.layer_dims[0])),
+        rng.integers(SPEC.layer_dims[-1], size=N_VAL),
     )
-    return spec, w, deltas, z, val
+    return w, deltas, z, val
 
 
-def gradcheck_instance(rng, eps=1e-3, eta_g=1.0,
-                       lambda_model=0.0) -> float | None:
+def gradcheck_instance(rng, eps=1e-3) -> float | None:
     """Relative error between analytic and FD meta-gradient for one case.
 
     Returns None when some FD point z +/- eps*e_j changes a hidden rectifier
     mask on the validation batch: central differences across a kink do not
     estimate the gradient at z, so such a case cannot judge the analytic row.
     """
-    spec, w, deltas, z, val = random_instance(rng)
+    w, deltas, z, val = random_instance(rng)
     updates = [ClientUpdate(d, True) for d in deltas]
 
     def rectifier_masks(zq):
-        w_q = aggregate(w, updates, softmax_weights(zq), eta_g, lambda_model)
-        _, acts = nn._forward_pass(nn.unpack_params(spec, w_q), val.features)
+        w_q = aggregate(w, updates, softmax_weights(zq), ETA_G, LAMBDA_MODEL)
+        _, acts = nn._forward_pass(nn.unpack_params(SPEC, w_q), val.features)
         return np.hstack([a > 0 for a in acts[1:-1]])
 
     steps = eps * np.eye(len(z))
@@ -45,10 +49,10 @@ def gradcheck_instance(rng, eps=1e-3, eta_g=1.0,
            for zq in np.vstack([z + steps, z - steps])):
         return None
 
-    w_next = aggregate(w, updates, softmax_weights(z), eta_g, lambda_model)
-    _, g = nn.loss_and_grad(spec, w_next, val)
-    analytic = meta_gradient_row(z, deltas, g, eta_g)
-    fd = fd_meta_gradient_row(spec, z, w, deltas, val, eta_g, lambda_model, eps)
+    w_next = aggregate(w, updates, softmax_weights(z), ETA_G, LAMBDA_MODEL)
+    _, g = nn.loss_and_grad(SPEC, w_next, val)
+    analytic = meta_gradient_row(z, deltas, g, ETA_G)
+    fd = fd_meta_gradient_row(SPEC, z, w, deltas, val, ETA_G, LAMBDA_MODEL, eps)
     scale = max(float(np.abs(fd).max()), 1e-12)
     return float(np.abs(analytic - fd).max()) / scale
 

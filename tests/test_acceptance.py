@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from unfoldfed import nn, synth
-from unfoldfed.cli import EXIT_OK, main
+from unfoldfed.cli import EXIT_OK, main, write_artifacts
 from unfoldfed.config import ExperimentConfig, from_dict
 from unfoldfed.data import (
     Dataset,
@@ -55,19 +55,26 @@ def desk_config(desk_paths, seed: int, **overrides) -> dict:
 
 
 @pytest.fixture(scope="module")
-def desk_runs(desk_paths):
-    """Criterion-6 experiment block: 3 seeds of unfolded vs FedAvg."""
+def desk_runs(desk_paths, tmp_path_factory):
+    """Criterion-6 experiment block: 3 seeds of unfolded vs FedAvg.
+
+    Each unfolded run also writes its artifacts into its "out" directory,
+    as `unfoldfed run` would; criterion 9 compares its own runs with seed 11's.
+    """
     t0 = time.perf_counter()
     runs = {}
     for seed in SEEDS:
-        cfg_u = from_dict(desk_config(desk_paths, seed, mode="unfolded"))
+        out = tmp_path_factory.mktemp(f"desk{seed}")
+        cfg_u = from_dict(desk_config(desk_paths, seed, mode="unfolded",
+                                      out_dir=str(out)))
         problem = prepare_problem(cfg_u)
         hist_u, logits, theta = run_experiment(cfg_u, problem)
+        write_artifacts(cfg_u, hist_u, logits, theta)
         cfg_f = from_dict(desk_config(desk_paths, seed, mode="fedavg", M=1))
         hist_f, _, _ = run_experiment(cfg_f, problem)
         runs[seed] = {
             "unfolded": hist_u, "fedavg": hist_f,
-            "logits": logits, "theta": theta, "config": cfg_u,
+            "logits": logits, "theta": theta, "config": cfg_u, "out": out,
         }
     runs["elapsed"] = time.perf_counter() - t0
     return runs
@@ -109,7 +116,7 @@ def test_criterion_3_fedavg_equivalence(desk_paths):
     cfg_f = from_dict(desk_config(desk_paths, 11, mode="fedavg", **overrides))
     problem = prepare_problem(cfg_f)
     from unfoldfed.federation import fedavg_weights
-    assert np.array_equal(fedavg_weights(problem.shards),
+    assert np.array_equal(fedavg_weights(problem.profiles),
                           softmax_weights(np.zeros(5)))
     hist_f, _, _ = run_experiment(cfg_f, problem)
     cfg_u = from_dict(desk_config(desk_paths, 11, mode="unfolded", **overrides))
@@ -134,17 +141,19 @@ def test_criterion_4_simplex_and_shift_invariance(desk_paths, desk_runs):
     start = np.zeros((cfg.T, cfg.K))
     shifted = start.copy()
     shifted[3] += 7.3
-    _, t1 = unfold_train(cfg, problem.profiles, problem.val_batch,
+    _, h1 = unfold_train(cfg, problem.profiles, problem.val_batch,
                          problem.test_batch, start_logits=start)
-    _, t2 = unfold_train(cfg, problem.profiles, problem.val_batch,
+    _, h2 = unfold_train(cfg, problem.profiles, problem.val_batch,
                          problem.test_batch, start_logits=shifted)
-    for a, b in zip(t1.iterations, t2.iterations):
-        assert a.meta_loss == b.meta_loss
-        assert np.array_equal(a.logits, b.logits)
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.theta, rb.theta)
-            assert ra.val_loss == rb.val_loss
-            assert ra.test_acc == rb.test_acc
+    assert h1.meta_losses == h2.meta_losses
+    assert len(h1.logits) == len(h2.logits)
+    for a, b in zip(h1.logits, h2.logits):
+        assert np.array_equal(a, b)
+    assert len(h1.rounds) == len(h2.rounds)
+    for (_, ra), (_, rb) in zip(h1.rounds, h2.rounds):
+        assert np.array_equal(ra.theta, rb.theta)
+        assert ra.val_loss == rb.val_loss
+        assert ra.test_acc == rb.test_acc
     ok(4, "all applied weight rows on the simplex; +7.3 row shift leaves the "
           "trace identical")
 
@@ -202,11 +211,13 @@ def test_criterion_8_iteration_budget(desk_runs):
     ok(8, "criteria 6-7 achieved within the fixed M=100 meta-iteration budget")
 
 
-def test_criterion_9_determinism_and_threads(desk_paths, tmp_path):
+def test_criterion_9_determinism_and_threads(desk_paths, desk_runs, tmp_path):
+    # The first run is desk_runs' seed-11 run, in-process at threads 1: the
+    # same config apart from out_dir, which changes no artifact byte.
     raw = desk_config(desk_paths, 11, mode="unfolded")
     cfg_path = tmp_path / "cfg.json"
-    outs = [tmp_path / f"out{i}" for i in range(3)]
-    for i, (out, threads) in enumerate(zip(outs, (1, 1, 8))):
+    outs = [desk_runs[11]["out"], tmp_path / "out1", tmp_path / "out2"]
+    for out, threads in zip(outs[1:], (1, 8)):
         raw2 = dict(raw, out_dir=str(out), threads=threads)
         cfg_path.write_text(json.dumps(raw2))
         assert main(["run", "--config", str(cfg_path)]) == EXIT_OK

@@ -362,9 +362,15 @@ class TestCmdPartition:
 
 
 class TestCmdReport:
-    def test_rerender_from_csv(self, tmp_path, small_config):
+    @pytest.mark.parametrize("setting", ["statistical", "computation",
+                                         "communication"])
+    @pytest.mark.parametrize("mode", ["unfolded", "fedavg"])
+    def test_rerender_from_csv(self, tmp_path, small_config, mode, setting):
+        raw = json.loads(small_config.read_text())
+        small_config.write_text(json.dumps(dict(raw, setting=setting,
+                                                per_client=60)))
         out = tmp_path / "out"
-        main(["run", "--config", str(small_config)])
+        assert main(["run", "--config", str(small_config), "--mode", mode]) == EXIT_OK
         rep = tmp_path / "rep"
         assert main(["report", "--history", str(out / "history.csv"),
                      "--out", str(rep)]) == EXIT_OK
@@ -385,6 +391,24 @@ class TestCmdReport:
         assert main(["report", "--history", str(path),
                      "--out", str(tmp_path / "rep")]) == EXIT_IO
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order,line", [
+        ([(5, -3), (0, 0), (0, 0)], 2),
+        ([(0, 0), (0, 0)], 3),
+        ([(0, 0), (0, 2), (1, 0), (1, 2)], 3),
+        ([(0, 0), (0, 1), (2, 0), (2, 1)], 4),
+        ([(0, 0), (1, 0), (0, 0)], 4),
+        ([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)], 6),
+    ], ids=["negative-round-then-repeated", "repeated-round", "skipped-round",
+            "skipped-meta-iteration", "meta-iteration-back", "short-last-meta-iteration"])
+    def test_rows_out_of_order_exit_3(self, tmp_path, capsys, order, line):
+        path = tmp_path / "h.csv"
+        path.write_text("".join(
+            f"{row}\n" for row in [csv_header(5)] + [
+                f"{m},{t},1.0,0.5,0.2,0.2,0.2,0.2,0.2,11111" for m, t in order]))
+        assert main(["report", "--history", str(path),
+                     "--out", str(tmp_path / "rep")]) == EXIT_IO
+        assert f"line {line}:" in capsys.readouterr().err
 
 
 class TestCmdSynth:

@@ -84,25 +84,27 @@ class TestPartitionStatistical:
                                        default_label_map(5), seed=0)
         seen = set()
         for k, shard in enumerate(shards):
-            assert shard.size == 100
-            labels = set(toy_dataset.labels[shard.indices].tolist())
+            assert shard.dtype == np.int64 and len(shard) == 100
+            assert np.all(np.diff(shard) > 0)
+            labels = set(toy_dataset.labels[shard].tolist())
             assert labels == {2 * k, 2 * k + 1}
-            assert not (set(shard.indices.tolist()) & seen)
-            seen |= set(shard.indices.tolist())
+            assert not (set(shard.tolist()) & seen)
+            seen |= set(shard.tolist())
 
     def test_default_skew_weights(self, synth_paths):
         ds = data.load_dataset(synth_paths["train_images"], synth_paths["train_labels"])
         shards = partition_statistical(ds, (200, 25, 25, 25, 25),
                                        default_label_map(5), seed=1)
         # Same 8:1 ratio as the default [4000, 500, 500, 500, 500] split.
-        theta = fedavg_weights(shards)
+        theta = fedavg_weights(make_profiles(ExperimentConfig(),
+                                             rows_of(ds, shards)))
         assert np.allclose(theta, [2 / 3, 1 / 12, 1 / 12, 1 / 12, 1 / 12], atol=1e-3)
 
     def test_deterministic(self, toy_dataset):
         a = partition_statistical(toy_dataset, (50,) * 5, default_label_map(5), 7)
         b = partition_statistical(toy_dataset, (50,) * 5, default_label_map(5), 7)
         for sa, sb in zip(a, b):
-            assert np.array_equal(sa.indices, sb.indices)
+            assert np.array_equal(sa, sb)
 
     def test_oversized_request_rejected(self, toy_dataset):
         with pytest.raises(ValueError, match="available"):
@@ -113,14 +115,15 @@ class TestPartitionStatistical:
 class TestPartitionBalanced:
     def test_equal_sizes_and_disjoint(self, toy_dataset):
         shards = partition_balanced(toy_dataset, K=5, per_client=20, seed=0)
-        all_idx = np.concatenate([s.indices for s in shards])
-        assert all(s.size == 20 for s in shards)
+        all_idx = np.concatenate(shards)
+        assert all(s.dtype == np.int64 and len(s) == 20 for s in shards)
+        assert all(np.all(np.diff(s) > 0) for s in shards)
         assert len(np.unique(all_idx)) == 100
 
     def test_stratified_within_one(self, toy_dataset):
         shards = partition_balanced(toy_dataset, K=5, per_client=20, seed=0)
         for shard in shards:
-            counts = np.bincount(toy_dataset.labels[shard.indices], minlength=10)
+            counts = np.bincount(toy_dataset.labels[shard], minlength=10)
             assert np.all(np.abs(counts - 2) <= 1)
 
     def test_insufficient_data_rejected(self, toy_dataset):

@@ -39,13 +39,11 @@ def test_features_bitwise_equal_to_scaling_every_image_first(synth_paths, settin
     shards = partition_for_setting(train, cfg)
 
     problem = prepare_problem(cfg)
-    assert len(problem.shards) == len(problem.profiles) == len(shards)
-    for shard, got, profile in zip(shards, problem.shards, problem.profiles):
-        assert got.owner == shard.owner
-        assert np.array_equal(got.indices, shard.indices)
+    assert len(problem.profiles) == len(shards)
+    for shard, profile in zip(shards, problem.profiles):
         assert profile.data.images.dtype == np.float64
-        assert np.array_equal(profile.data.images, train.images[shard.indices])
-        assert np.array_equal(profile.data.labels, train.labels[shard.indices])
+        assert np.array_equal(profile.data.images, train.images[shard])
+        assert np.array_equal(profile.data.labels, train.labels[shard])
     assert np.array_equal(problem.val_batch.features, val.images)
     assert np.array_equal(problem.val_batch.labels, val.labels)
     assert np.array_equal(problem.test_batch.features, test.images)

@@ -11,7 +11,7 @@ import pytest
 
 from unfoldfed import federation, nn
 from unfoldfed.config import ExperimentConfig
-from unfoldfed.data import (ClientProfile, Dataset, Shard, make_profiles,
+from unfoldfed.data import (ClientProfile, Dataset, make_profiles,
                             partition_balanced)
 from unfoldfed.federation import (
     ClientDivergedError,
@@ -28,9 +28,8 @@ SPEC = nn.ModelSpec((20, 8, 10))
 
 
 def rows_of(dataset, shards):
-    """Each shard's rows of `dataset`, one client's data per shard."""
-    return [Dataset(dataset.images[s.indices], dataset.labels[s.indices])
-            for s in shards]
+    """Each shard's rows of `dataset`, one client's data per index array."""
+    return [Dataset(dataset.images[idx], dataset.labels[idx]) for idx in shards]
 
 
 def profile_for(dataset, indices, epochs=1, lr=0.05, p=1.0, batch=16):
@@ -40,24 +39,26 @@ def profile_for(dataset, indices, epochs=1, lr=0.05, p=1.0, batch=16):
                          batch_size=batch)
 
 
+def sized_profiles(sizes):
+    """One client per size, holding that many one-pixel rows."""
+    return [ClientProfile(data=Dataset(np.zeros((n, 1)), np.zeros(n, dtype=np.int64)),
+                          epochs=1, local_lr=0.05, participation=1.0, batch_size=16)
+            for n in sizes]
+
+
 class TestFedavgWeights:
     def test_proportional(self):
-        shards = [Shard(k, np.arange(n)) for k, n in enumerate([10, 30, 60])]
-        assert np.allclose(fedavg_weights(shards), [0.1, 0.3, 0.6], atol=1e-15)
+        profiles = sized_profiles([10, 30, 60])
+        assert np.allclose(fedavg_weights(profiles), [0.1, 0.3, 0.6], atol=1e-15)
 
     def test_equal_sizes(self):
-        shards = [Shard(k, np.arange(7)) for k in range(5)]
-        assert np.allclose(fedavg_weights(shards), 0.2, atol=1e-15)
+        profiles = sized_profiles([7] * 5)
+        assert np.allclose(fedavg_weights(profiles), 0.2, atol=1e-15)
 
     def test_default_skew(self):
-        shards = [Shard(k, np.arange(n))
-                  for k, n in enumerate([4000, 500, 500, 500, 500])]
+        profiles = sized_profiles([4000, 500, 500, 500, 500])
         expected = [2 / 3, 1 / 12, 1 / 12, 1 / 12, 1 / 12]
-        assert np.allclose(fedavg_weights(shards), expected, atol=1e-12)
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(ValueError):
-            fedavg_weights([Shard(0, np.arange(0))])
+        assert np.allclose(fedavg_weights(profiles), expected, atol=1e-12)
 
 
 class TestClientUpdate:
@@ -196,7 +197,7 @@ class TestRunRound:
     def test_matches_reference_fedavg_loop(self, toy_dataset):
         profiles, shards, eval_batch = self._setup(toy_dataset)
         w = nn.init_model(SPEC, 3)
-        theta = fedavg_weights(shards)
+        theta = fedavg_weights(profiles)
         seed = np.random.SeedSequence([99, 0, 0])
         w_next, _, _, _ = run_round(
             0, w, SPEC, profiles, theta, 1.0, 0.0,

@@ -64,18 +64,22 @@ class TestEmitCsv:
         assert path.read_text().splitlines()[1].endswith(",101")
 
     def test_read_csv_round_trip(self, tmp_path):
-        rec = RoundRecord(4, np.array([0.125, 0.375, 0.5]),
-                          np.array([True, False, True]), 1.25, 0.875)
-        history = RunHistory(K=3, rounds=[(7, rec), (8, rec)])
+        theta = np.array([0.125, 0.375, 0.5])
+        mask = np.array([True, False, True])
+        history = RunHistory(K=3, rounds=[
+            (m, RoundRecord(t, theta, mask, 1.25, 0.875))
+            for m in range(2) for t in range(2)
+        ])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(history, a)
         back = read_csv(a)
         assert back.K == 3
-        assert [m for m, _ in back.rounds] == [7, 8]
+        assert [(m, r.round) for m, r in back.rounds] == [(0, 0), (0, 1),
+                                                          (1, 0), (1, 1)]
+        assert back.meta_losses == [] and back.logits == []
         for _, r in back.rounds:
-            assert r.round == 4
-            assert np.array_equal(r.theta, rec.theta)
-            assert np.array_equal(r.participation, rec.participation)
+            assert np.array_equal(r.theta, theta)
+            assert np.array_equal(r.participation, mask)
             assert (r.val_loss, r.test_acc) == (1.25, 0.875)
         emit_csv(back, b)
         assert b.read_bytes() == a.read_bytes()

@@ -140,43 +140,43 @@ class TestUnfoldTrain:
     def test_shape_contract(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset, K=5)
         cfg = self._cfg(K=5, M=1, T=10)
-        logits, trace = unfold_train(cfg, profiles, val, test)
+        logits, history = unfold_train(cfg, profiles, val, test)
         assert logits.shape == (10, 5)
-        assert len(trace.iterations) == 1
-        assert len(trace.iterations[0].records) == 10
+        assert len(history.meta_losses) == len(history.logits) == 1
+        assert len(history.rounds) == 10
 
     def test_zero_meta_lr_no_learning(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(eta_meta=0.0)
-        logits, trace = unfold_train(cfg, profiles, val, test)
+        logits, history = unfold_train(cfg, profiles, val, test)
         assert np.array_equal(logits, np.zeros((3, 3)))
         fixed = np.full(3, 1 / 3)
-        _, trace_fixed = unfold_train(cfg, profiles, val, test,
-                                      fixed_theta=fixed)
-        for a, b in zip(trace.iterations, trace_fixed.iterations):
-            assert a.meta_loss == b.meta_loss
-            for ra, rb in zip(a.records, b.records):
-                assert ra.val_loss == rb.val_loss
-                assert ra.test_acc == rb.test_acc
+        _, history_fixed = unfold_train(cfg, profiles, val, test,
+                                        fixed_theta=fixed)
+        assert history.meta_losses == history_fixed.meta_losses
+        assert len(history.rounds) == len(history_fixed.rounds)
+        for (_, ra), (_, rb) in zip(history.rounds, history_fixed.rounds):
+            assert ra.val_loss == rb.val_loss
+            assert ra.test_acc == rb.test_acc
 
     def test_reproducible(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg()
-        z1, t1 = unfold_train(cfg, profiles, val, test)
-        z2, t2 = unfold_train(cfg, profiles, val, test)
+        z1, h1 = unfold_train(cfg, profiles, val, test)
+        z2, h2 = unfold_train(cfg, profiles, val, test)
         assert np.array_equal(z1, z2)
-        assert np.array_equal(t1.meta_losses(), t2.meta_losses())
-        for a, b in zip(t1.iterations, t2.iterations):
-            assert np.array_equal(a.logits, b.logits)
+        assert np.array_equal(h1.meta_losses, h2.meta_losses)
+        assert len(h1.logits) == len(h2.logits)
+        for a, b in zip(h1.logits, h2.logits):
+            assert np.array_equal(a, b)
 
     def test_applied_thetas_on_simplex(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(M=3, lambda_theta=1e-4)
-        _, trace = unfold_train(cfg, profiles, val, test)
-        for it in trace.iterations:
-            for rec in it.records:
-                assert rec.theta.sum() == pytest.approx(1.0, abs=1e-9)
-                assert np.all(rec.theta >= 0)
+        _, history = unfold_train(cfg, profiles, val, test)
+        for _, rec in history.rounds:
+            assert rec.theta.sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.all(rec.theta >= 0)
 
     def test_row_shift_leaves_trace_identical(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
@@ -184,23 +184,23 @@ class TestUnfoldTrain:
         start = np.zeros((3, 3))
         shifted = start.copy()
         shifted[1] += 7.3
-        _, t1 = unfold_train(cfg, profiles, val, test,
+        _, h1 = unfold_train(cfg, profiles, val, test,
                              start_logits=start)
-        _, t2 = unfold_train(cfg, profiles, val, test,
+        _, h2 = unfold_train(cfg, profiles, val, test,
                              start_logits=shifted)
-        for a, b in zip(t1.iterations, t2.iterations):
-            assert a.meta_loss == b.meta_loss
-            for ra, rb in zip(a.records, b.records):
-                assert np.array_equal(ra.theta, rb.theta)
-                assert ra.val_loss == rb.val_loss
+        assert h1.meta_losses == h2.meta_losses
+        assert len(h1.rounds) == len(h2.rounds)
+        for (_, ra), (_, rb) in zip(h1.rounds, h2.rounds):
+            assert np.array_equal(ra.theta, rb.theta)
+            assert ra.val_loss == rb.val_loss
 
     def test_trajectory_meta_loss_matches_trace(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(M=1)
-        logits, trace = unfold_train(cfg, profiles, val, test)
+        logits, history = unfold_train(cfg, profiles, val, test)
         total = trajectory_meta_loss(cfg, profiles, val, test,
-                                     trace.iterations[0].logits, m=0)
-        assert total == pytest.approx(trace.iterations[0].meta_loss, abs=1e-12)
+                                     history.logits[0], m=0)
+        assert total == pytest.approx(history.meta_losses[0], abs=1e-12)
 
     def test_truncated_gradient_tracks_full_fd(self, toy_dataset):
         # Diagnostic for the truncation gap: full-horizon FD over the first
@@ -208,8 +208,8 @@ class TestUnfoldTrain:
         # analytic row on a short, smooth horizon.
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(M=1, T=2, eta_meta=0.0)
-        logits, trace = unfold_train(cfg, profiles, val, test)
-        z = trace.iterations[0].logits
+        logits, history = unfold_train(cfg, profiles, val, test)
+        z = history.logits[0]
         w0 = nn.init_model(SPEC, cfg.seeds["model"])
         thetas = [softmax_weights(row) for row in z]
         _, _, deltas, g = next(rollout(cfg, SPEC, profiles, val, test,
@@ -281,14 +281,16 @@ class TestUnfoldTrain:
                              profiles, val, test)
                 for threads in (1, 2)]
         assert mp.active_children() == []
-        (z1, t1), (z2, t2) = runs
+        (z1, h1), (z2, h2) = runs
         assert np.array_equal(z1, z2)
-        assert np.array_equal(t1.meta_losses(), t2.meta_losses())
-        for a, b in zip(t1.iterations, t2.iterations):
-            assert np.array_equal(a.logits, b.logits)
-            for ra, rb in zip(a.records, b.records):
-                assert np.array_equal(ra.participation, rb.participation)
-                assert (ra.val_loss, ra.test_acc) == (rb.val_loss, rb.test_acc)
+        assert np.array_equal(h1.meta_losses, h2.meta_losses)
+        assert len(h1.logits) == len(h2.logits)
+        for a, b in zip(h1.logits, h2.logits):
+            assert np.array_equal(a, b)
+        assert len(h1.rounds) == len(h2.rounds)
+        for (_, ra), (_, rb) in zip(h1.rounds, h2.rounds):
+            assert np.array_equal(ra.participation, rb.participation)
+            assert (ra.val_loss, ra.test_acc) == (rb.val_loss, rb.test_acc)
 
     def test_pool_closed_after_a_client_fails(self, toy_dataset, many_cores):
         _, val, test = small_problem(toy_dataset)
