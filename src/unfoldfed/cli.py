@@ -6,7 +6,7 @@ meta-gradient against finite differences, `report` re-renders charts from a
 saved history, and `synth` writes the deterministic stand-in dataset.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 I/O error
-or a client worker that died.
+or a client worker that died, 4 training diverged.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from . import __version__, report, synth
 from .config import DATA_PATH_KEYS, ConfigError, ExperimentConfig, parse_config
 from .data import IdxFormatError
 from .experiment import final_test_accuracy, prepare_problem, run_experiment
-from .federation import fedavg_weights
+from .federation import ClientDivergedError, fedavg_weights
 from .verify import run_gradcheck
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_DIVERGED = 4
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -214,7 +215,10 @@ def main(argv=None) -> int:
     except (IdxFormatError, OSError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, FloatingPointError) as e:
+    except (ClientDivergedError, FloatingPointError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERIFY
 

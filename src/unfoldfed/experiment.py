@@ -76,9 +76,9 @@ def run_experiment(cfg: ExperimentConfig, problem: Problem | None = None):
         problem = prepare_problem(cfg)
     fixed_theta = None
     if cfg.mode == "fedavg":
-        fixed_theta = fedavg_weights(problem.profiles)
+        fixed_theta = np.tile(fedavg_weights(problem.profiles), (cfg.T, 1))
     elif cfg.mode == "fixed-uniform":
-        fixed_theta = np.full(cfg.K, 1.0 / cfg.K)
+        fixed_theta = np.full((cfg.T, cfg.K), 1.0 / cfg.K)
     logits, history = unfold_train(
         cfg, problem.profiles, problem.val_batch, problem.test_batch,
         fixed_theta=fixed_theta,

@@ -163,9 +163,10 @@ def unfold_train(
     logits and the run's RunHistory.
 
     Every meta-iteration restarts from the same seeded initial model so the
-    round index t of each logits row keeps its meaning. With `fixed_theta`
-    the loop degenerates to a fixed-weight baseline (FedAvg, uniform) on the
-    exact same seeding path.
+    round index t of each logits row keeps its meaning. `fixed_theta` is a
+    T x K weight schedule (FedAvg, uniform, a saved `weights.json` theta) run
+    on the exact same seeding path: row t weights round t of every
+    meta-iteration, and no logits are learned or recorded.
 
     The logits rows are kept canonical (row max zero). A uniform row shift
     never changes the softmax weights, and canonical form makes that
@@ -187,11 +188,14 @@ def unfold_train(
     if z.shape != (cfg.T, cfg.K):
         raise ValueError(f"logits shape {z.shape}, expected {(cfg.T, cfg.K)}")
     z = canonical(z)
+    if fixed_theta is not None and np.shape(fixed_theta) != z.shape:
+        raise ValueError(f"fixed_theta shape {np.shape(fixed_theta)}, "
+                         f"expected {z.shape}")
 
     history = RunHistory(cfg.K)
     with client_pool(spec, profiles, cfg.threads) as pool:
         for m in range(cfg.M):
-            thetas = [fixed_theta] * cfg.T if fixed_theta is not None \
+            thetas = fixed_theta if fixed_theta is not None \
                 else [softmax_weights(row) for row in z]
             row_grads = np.zeros((cfg.T, cfg.K))
             meta_loss = 0.0
@@ -208,28 +212,9 @@ def unfold_train(
                     f"meta-loss diverged at meta-iteration {m}: {meta_loss}"
                 )
             history.meta_losses.append(meta_loss)
-            history.logits.append(z)  # z is rebound below, never written in place
             if fixed_theta is None:
+                history.logits.append(z)  # rebound below, never written in place
                 z = canonical(meta_step(z, row_grads, cfg.eta_meta,
                                         cfg.lambda_theta))
     return z, history
 
-
-def trajectory_meta_loss(
-    cfg: ExperimentConfig,
-    profiles: list[ClientProfile],
-    val: nn.Batch,
-    test: nn.Batch,
-    z: np.ndarray,
-    m: int = 0,
-) -> float:
-    """Accumulated meta-loss of one T-round horizon under fixed logits.
-
-    Finite differences over this function give the full (untruncated)
-    meta-gradient; slow, used only as a diagnostic for the truncation gap.
-    """
-    spec = cfg.model_spec()
-    w0 = nn.init_model(spec, cfg.seeds["model"])
-    thetas = [softmax_weights(row) for row in z]
-    rounds = rollout(cfg, spec, profiles, val, test, w0, thetas, m)
-    return sum(rec.val_loss for _, rec, _, _ in rounds)

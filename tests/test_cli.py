@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unfoldfed import data, synth, verify
-from unfoldfed.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
+from unfoldfed.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
+                           EXIT_VERIFY, main)
 from unfoldfed.config import ConfigError, ExperimentConfig, from_dict, parse_config
 from unfoldfed.experiment import prepare_problem
 from unfoldfed.report import csv_header
@@ -279,23 +280,37 @@ class TestCmdRun:
         assert manifest["config"]["threads"] == 2
         assert "emit_svg" not in manifest["config"]
 
-    def test_divergence_reported_alike_at_any_threads(self, small_config):
+    @staticmethod
+    def run_at_threads_1_and_2(config):
         # In a fresh interpreter, so that its warnings reach stderr as they
         # would for a user. Two processes train clients on a host with two or
         # more usable cores.
-        raw = json.loads(small_config.read_text())
-        small_config.write_text(json.dumps(dict(raw, local_lr=30.0)))
         env = dict(os.environ, PYTHONPATH=SRC)
         reports = []
         for threads in ("1", "2"):
             done = subprocess.run(
                 [sys.executable, "-m", "unfoldfed.cli", "run", "--config",
-                 str(small_config), "--threads", threads],
+                 str(config), "--threads", threads],
                 env=env, capture_output=True, text=True, timeout=300)
             reports.append((done.returncode, done.stderr))
-        assert reports[0][0] == EXIT_VERIFY
+        return reports
+
+    def test_divergence_reported_alike_at_any_threads(self, small_config):
+        raw = json.loads(small_config.read_text())
+        small_config.write_text(json.dumps(dict(raw, local_lr=30.0)))
+        reports = self.run_at_threads_1_and_2(small_config)
+        assert reports[0][0] == EXIT_DIVERGED
         assert "RuntimeWarning" in reports[0][1]
         assert reports[0][1].endswith("error: meta-loss diverged at meta-iteration 0: inf\n")
+        assert reports[1] == reports[0]
+
+    def test_client_divergence_reported_alike_at_any_threads(self, small_config):
+        raw = json.loads(small_config.read_text())
+        small_config.write_text(json.dumps(dict(raw, local_lr=1e200)))
+        reports = self.run_at_threads_1_and_2(small_config)
+        assert reports[0] == (EXIT_DIVERGED,
+                              "error: meta-iteration 0, round 0, client 0: "
+                              "non-finite parameters after local training\n")
         assert reports[1] == reports[0]
 
     def test_bad_config_exit_2(self, tmp_path):

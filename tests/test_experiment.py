@@ -1,8 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from unfoldfed.cli import write_artifacts
 from unfoldfed.config import ExperimentConfig
 from unfoldfed.data import (
     COMMUNICATION,
@@ -13,7 +15,9 @@ from unfoldfed.data import (
     partition_for_setting,
     split_validation,
 )
-from unfoldfed.experiment import prepare_problem
+from unfoldfed.experiment import prepare_problem, run_experiment
+from unfoldfed.report import load_weights_json
+from unfoldfed.unfolding import unfold_train
 
 
 def synth_config(synth_paths, setting: str) -> ExperimentConfig:
@@ -61,3 +65,32 @@ def test_peak_memory_below_one_float_copy_of_the_training_images(synth_paths):
     finally:
         tracemalloc.stop()
     assert peak < one_float_copy
+
+
+@pytest.mark.parametrize("mode", ["fedavg", "fixed-uniform"])
+def test_fixed_weight_runs_record_no_logits(synth_paths, mode):
+    cfg = replace(synth_config(synth_paths, STATISTICAL), mode=mode, M=2, T=2)
+    history, logits, theta = run_experiment(cfg)
+    assert logits is None and theta is None
+    assert history.logits == [] and len(history.meta_losses) == 2
+
+
+@pytest.mark.parametrize("setting", [STATISTICAL, COMPUTATION, COMMUNICATION])
+def test_weights_json_replays_bitwise_as_a_fixed_schedule(synth_paths, tmp_path,
+                                                          setting):
+    cfg = replace(synth_config(synth_paths, setting), M=2, T=3,
+                  out_dir=str(tmp_path))
+    problem = prepare_problem(cfg)
+    write_artifacts(cfg, *run_experiment(cfg, problem))
+    doc = load_weights_json(tmp_path / "weights.json")
+    assert np.any(doc["logits"] != 0)
+    once = replace(cfg, M=1, eta_meta=0.0)
+    args = (once, problem.profiles, problem.val_batch, problem.test_batch)
+    _, replayed = unfold_train(*args, fixed_theta=doc["theta"])
+    _, learned = unfold_train(*args, start_logits=doc["logits"])
+    assert replayed.meta_losses == learned.meta_losses
+    assert len(replayed.rounds) == len(learned.rounds) == cfg.T
+    for (_, a), (_, b) in zip(replayed.rounds, learned.rounds):
+        assert (a.round, a.val_loss, a.test_acc) == (b.round, b.val_loss, b.test_acc)
+        assert a.theta.tobytes() == b.theta.tobytes()
+        assert a.participation.tobytes() == b.participation.tobytes()

@@ -1,5 +1,7 @@
 import math
 import multiprocessing as mp
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +17,20 @@ from unfoldfed.unfolding import (
     meta_step,
     rollout,
     softmax_weights,
-    trajectory_meta_loss,
     unfold_train,
 )
 from unfoldfed.verify import run_gradcheck
 from tests.test_federation import failing_profiles, rows_of, setting_profiles
 
 SPEC = nn.ModelSpec((20, 8, 10))
+
+
+def horizon_loss(cfg, profiles, val, test, z):
+    """Meta-loss of meta-iteration 0 under the softmax rows of logits `z`."""
+    schedule = np.stack([softmax_weights(row) for row in z])
+    _, history = unfold_train(replace(cfg, M=1), profiles, val, test,
+                              fixed_theta=schedule)
+    return history.meta_losses[0]
 
 
 def small_problem(toy_dataset, K=3, per_client=30):
@@ -150,7 +159,7 @@ class TestUnfoldTrain:
         cfg = self._cfg(eta_meta=0.0)
         logits, history = unfold_train(cfg, profiles, val, test)
         assert np.array_equal(logits, np.zeros((3, 3)))
-        fixed = np.full(3, 1 / 3)
+        fixed = np.full((3, 3), 1 / 3)
         _, history_fixed = unfold_train(cfg, profiles, val, test,
                                         fixed_theta=fixed)
         assert history.meta_losses == history_fixed.meta_losses
@@ -194,13 +203,36 @@ class TestUnfoldTrain:
             assert np.array_equal(ra.theta, rb.theta)
             assert ra.val_loss == rb.val_loss
 
-    def test_trajectory_meta_loss_matches_trace(self, toy_dataset):
+    def test_fixed_schedule_meta_loss_matches_trace(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(M=1)
         logits, history = unfold_train(cfg, profiles, val, test)
-        total = trajectory_meta_loss(cfg, profiles, val, test,
-                                     history.logits[0], m=0)
+        total = horizon_loss(cfg, profiles, val, test, history.logits[0])
         assert total == pytest.approx(history.meta_losses[0], abs=1e-12)
+
+    def test_fixed_schedule_row_t_weights_round_t(self, toy_dataset):
+        profiles, val, test = small_problem(toy_dataset)
+        cfg = self._cfg(M=2, T=3)
+        schedule = np.stack([softmax_weights(row) for row in
+                             np.random.default_rng(4).normal(size=(3, 3))])
+        _, history = unfold_train(cfg, profiles, val, test,
+                                  fixed_theta=schedule)
+        assert [(m, rec.round) for m, rec in history.rounds] == \
+            [(m, t) for m in range(2) for t in range(3)]
+        for _, rec in history.rounds:
+            assert rec.theta.tobytes() == schedule[rec.round].tobytes()
+        assert len(history.meta_losses) == 2 and history.logits == []
+
+    @pytest.mark.parametrize("name, shape", [
+        ("fixed_theta", (3,)), ("fixed_theta", (3, 3)), ("start_logits", (2, 4)),
+    ], ids=["K-vector", "T+1-rows", "start-logits"])
+    def test_schedule_shape_checked(self, toy_dataset, name, shape):
+        profiles, val, test = small_problem(toy_dataset)
+        cfg = self._cfg(T=2)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"shape {shape}, expected (2, 3)")):
+            unfold_train(cfg, profiles, val, test,
+                         **{name: np.full(shape, 1 / 3)})
 
     def test_truncated_gradient_tracks_full_fd(self, toy_dataset):
         # Diagnostic for the truncation gap: full-horizon FD over the first
@@ -222,8 +254,8 @@ class TestUnfoldTrain:
             zp[0, j] += eps
             zm[0, j] -= eps
             fd_full[j] = (
-                trajectory_meta_loss(cfg, profiles, val, test, zp)
-                - trajectory_meta_loss(cfg, profiles, val, test, zm)
+                horizon_loss(cfg, profiles, val, test, zp)
+                - horizon_loss(cfg, profiles, val, test, zm)
             ) / (2 * eps)
         assert np.all(np.isfinite(fd_full))
         assert np.array_equal(np.sign(fd_full), np.sign(row)), (fd_full, row)
