@@ -41,10 +41,10 @@ class Dataset:
     `load_dataset` fills `images` with the file's uint8 pixels, and
     `split_validation` and the partitioners keep them so: they only gather
     rows and read labels. The rows the model reads are scaled once, by
-    `scale_pixels`, into float64 features in [0, 1].
+    `scale_pixels`, into features in [0, 1]: float32 for a client's rows.
     """
 
-    images: np.ndarray  # (N, 784) uint8 pixels, or float64 in [0, 1] once scaled
+    images: np.ndarray  # (N, 784) uint8 pixels, or float32 in [0, 1] once scaled
     labels: np.ndarray  # (N,) int64 in [0, 10)
 
     def __post_init__(self):
@@ -94,14 +94,15 @@ def load_idx_images(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
 
 
-def scale_pixels(pixels: np.ndarray) -> np.ndarray:
-    """uint8 pixels as float64 features in [0, 1].
+def scale_pixels(pixels: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """uint8 pixels as features in [0, 1] of `dtype`, with no wider copy.
 
-    Every uint8 value converts to float64 exactly and divides to one
+    Every uint8 value converts to `dtype` exactly and divides to one
     correctly rounded quotient, so a row's features are the same bits
-    whichever rows are scaled with it.
+    whichever rows are scaled with it. In float32 that quotient is also the
+    float32 rounding of the float64 one, for each of the 256 values.
     """
-    return pixels / 255.0
+    return np.divide(pixels, 255, dtype=dtype)
 
 
 def load_idx_labels(path) -> np.ndarray:

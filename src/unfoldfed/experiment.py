@@ -26,9 +26,9 @@ class Problem:
     """Prepared data and clients for one experiment.
 
     Client k is `profiles[k]`: its own rows of the training split, as
-    float64 features in [0, 1], which also give its FedAvg weight and its
+    float32 features in [0, 1], which also give its FedAvg weight and its
     entry in `partition.json`. No other training row is kept. The
-    validation and test batches are float64 too.
+    validation and test batches, which the server evaluates, are float64.
     """
 
     val_batch: nn.Batch
@@ -56,7 +56,7 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
         name = "sizes" if cfg.setting == STATISTICAL else "per_client"
         raise ConfigError(f"config field {name!r}: {e}") from e
     profiles = make_profiles(cfg, [
-        Dataset(scale_pixels(train.images[idx]), train.labels[idx])
+        Dataset(scale_pixels(train.images[idx], np.float32), train.labels[idx])
         for idx in indices
     ])
     return Problem(

@@ -3,15 +3,18 @@
 The server update is w <- w + eta_g * sum_k theta_k * delta_k - lambda * w,
 so the map from weights to the next model is affine in theta at fixed deltas.
 
-A client is its profile: its own rows in, a delta out. Clients train in a
-`ClientPool` of min(threads, K, usable cores) processes. The calling process
-is one of them and trains the heaviest share itself; the others are forked
-once per run and inherit the profiles, rows included, copy-on-write. Each
-round, every worker trains its share and sends one reply with the trained
-parameters, which the caller replays after training its own share: so every
-client's update is one `client_update` call in the calling process. Each
-client draws from its own generator and the server reduces in client-index
-order, so every pool size gives the same bits.
+A client is its profile: its own rows in, a delta out. A client trains in
+float32, on its float32 rows from the server's model rounded to float32, and
+returns only the change it made, which the server widens to float64 and adds
+to its own float64 model. Clients train in a `ClientPool` of
+min(threads, K, usable cores) processes. The calling process is one of them
+and trains the heaviest share itself; the others are forked once per run and
+inherit the profiles, rows included, copy-on-write. Each round, every worker
+trains its share and sends one reply with its clients' float32 changes,
+which the caller replays after training its own share: so every client's
+update is one `client_update` call in the calling process. Each client
+draws from its own generator and the server reduces in client-index order,
+so every pool size gives the same bits.
 """
 
 from __future__ import annotations
@@ -71,14 +74,16 @@ def local_sgd(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """`epochs` passes of shuffled mini-batch SGD over the client's rows at
-    the client rate from `global_params`; returns the trained params.
+    the client rate, in float32 from `global_params` rounded to float32;
+    returns the float32 change the training made to those parameters.
 
-    Raises ClientDivergedError if they are not all finite. Non-finite
-    entries never become finite again under SGD, so one check at the end
-    sees any that arose on the way.
+    Raises ClientDivergedError if the change is not all finite: float32
+    overflows near 3.4e38. Non-finite entries never become finite again
+    under SGD, so one check at the end sees any that arose on the way.
     """
     data = profile.data
-    params = global_params.copy()  # trained in place by nn.sgd_step
+    w32 = global_params.astype(np.float32)
+    params = w32.copy()  # trained in place by nn.sgd_step
     for _ in range(profile.epochs):
         order = rng.permutation(len(data))
         for start in range(0, len(data), profile.batch_size):
@@ -86,6 +91,7 @@ def local_sgd(
             batch = nn.Batch(data.images[rows], data.labels[rows])
             _, grad = nn.loss_and_grad(spec, params, batch)
             params = nn.sgd_step(params, grad, profile.local_lr)
+    params -= w32
     if not np.all(np.isfinite(params)):
         raise ClientDivergedError("non-finite parameters after local training")
     return params
@@ -103,11 +109,12 @@ def client_update(
     Draws participation first; an absent client returns a zero delta. A
     present one trains through `train`, which takes `local_sgd`'s arguments
     and returns what it does: a `ClientPool` passes one that replays a
-    worker's `local_sgd` result for the worker's clients.
+    worker's `local_sgd` result for the worker's clients. The float32
+    change is widened to a float64 delta.
     """
     if rng.uniform() < profile.participation:
-        return ClientUpdate(train(spec, global_params, profile, rng) - global_params,
-                            True)
+        return ClientUpdate(
+            train(spec, global_params, profile, rng).astype(np.float64), True)
     return ClientUpdate(np.zeros_like(global_params), False)
 
 
@@ -157,8 +164,8 @@ def _serve(conn, parent_end, spec, profiles) -> None:
     a None message or EOF.
 
     The share trains as it would in the caller, so both draw the same
-    participation. The one reply per round holds the parameters that
-    `local_sgd` trained, in share order, then the error that stopped the
+    participation. The one reply per round holds the float32 changes that
+    `local_sgd` returned, in share order, then the error that stopped the
     share, if one did.
     """
     parent_end.close()  # else the caller's exit would never reach us as EOF

@@ -1,8 +1,10 @@
 """Minimal feed-forward classifier with exact analytic gradients.
 
 The model is a plain MLP: rectifier hidden layers, softmax + cross-entropy
-at the output. Parameters live in a single flat float64 vector so they can
-be shipped between simulated clients and the server as one unit.
+at the output. Parameters live in a single flat vector so they can be
+shipped between simulated clients and the server as one unit: float64 on
+the server, float32 while a client trains. Every function computes in the
+dtype of the arrays it is given and returns arrays of that dtype.
 """
 
 from __future__ import annotations
@@ -127,8 +129,9 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[fl
     """Mean cross-entropy over the batch and its exact gradient.
 
     The loss is bitwise the one `evaluate` returns. The gradient is one new
-    vector laid out like `params`; `params` is only read, and is not checked
-    for non-finite entries (`federation.local_sgd` checks what it trains).
+    vector laid out like `params`, of its dtype; `params` is only read, and
+    is not checked for non-finite entries (`federation.local_sgd` checks
+    what it trains).
     """
     layers = unpack_params(spec, params)
     probs, acts = _forward_pass(layers, batch.features)
@@ -143,7 +146,7 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[fl
     delta[rows, labels] -= 1.0
     delta /= n
 
-    grad = np.empty(spec.num_params)
+    grad = np.empty(spec.num_params, dtype=params.dtype)
     grad_layers = unpack_params(spec, grad)
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[i]

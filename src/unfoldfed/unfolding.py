@@ -166,7 +166,8 @@ def unfold_train(
     round index t of each logits row keeps its meaning. `fixed_theta` is a
     T x K weight schedule (FedAvg, uniform, a saved `weights.json` theta) run
     on the exact same seeding path: row t weights round t of every
-    meta-iteration, and no logits are learned or recorded.
+    meta-iteration, and no logits are learned or recorded, so it cannot be
+    given with `start_logits`.
 
     The logits rows are kept canonical (row max zero). A uniform row shift
     never changes the softmax weights, and canonical form makes that
@@ -181,6 +182,9 @@ def unfold_train(
 
     if len(profiles) != cfg.K:
         raise ValueError(f"{len(profiles)} profiles for K={cfg.K}")
+    if fixed_theta is not None and start_logits is not None:
+        raise ValueError("fixed_theta and start_logits given together: a fixed "
+                         "schedule applies no logits")
     spec = cfg.model_spec()
     w0 = nn.init_model(spec, cfg.seeds["model"])
     z = np.zeros((cfg.T, cfg.K)) if start_logits is None \

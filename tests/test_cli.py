@@ -313,6 +313,17 @@ class TestCmdRun:
                               "non-finite parameters after local training\n")
         assert reports[1] == reports[0]
 
+    def test_float32_client_overflow_is_client_divergence(self, small_config):
+        # At this rate float64 clients stay finite and the meta-loss is what
+        # diverges; float32 clients overflow near 3.4e38 and are caught first.
+        raw = json.loads(small_config.read_text())
+        small_config.write_text(json.dumps(dict(raw, local_lr=1e20)))
+        reports = self.run_at_threads_1_and_2(small_config)
+        assert reports[0] == (EXIT_DIVERGED,
+                              "error: meta-iteration 0, round 0, client 0: "
+                              "non-finite parameters after local training\n")
+        assert reports[1] == reports[0]
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"bogus_field": 1}))

@@ -16,6 +16,7 @@ from unfoldfed.data import (
     make_profiles,
     partition_balanced,
     partition_statistical,
+    scale_pixels,
     split_validation,
 )
 from unfoldfed.federation import fedavg_weights
@@ -173,3 +174,16 @@ class TestSplitValidation:
     def test_out_of_range_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
             split_validation(toy_dataset, len(toy_dataset), seed=0)
+
+
+class TestScalePixels:
+    def test_every_uint8_value(self):
+        # All 256 values: float64 is the plain quotient, and float32 is that
+        # quotient rounded to float32.
+        u = np.arange(256, dtype=np.uint8)
+        f64 = scale_pixels(u)
+        f32 = scale_pixels(u, np.float32)
+        assert f64.dtype == np.float64 and f32.dtype == np.float32
+        assert f64.tobytes() == (u / 255.0).tobytes()
+        assert f32.tobytes() == (u / 255.0).astype(np.float32).tobytes()
+        assert (f32[0], f32[255]) == (0.0, 1.0)

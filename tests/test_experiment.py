@@ -45,9 +45,12 @@ def test_features_bitwise_equal_to_scaling_every_image_first(synth_paths, settin
     problem = prepare_problem(cfg)
     assert len(problem.profiles) == len(shards)
     for shard, profile in zip(shards, problem.profiles):
-        assert profile.data.images.dtype == np.float64
-        assert np.array_equal(profile.data.images, train.images[shard])
+        assert profile.data.images.dtype == np.float32
+        assert profile.data.images.tobytes() == \
+            train.images[shard].astype(np.float32).tobytes()
         assert np.array_equal(profile.data.labels, train.labels[shard])
+    for batch in (problem.val_batch, problem.test_batch):
+        assert batch.features.dtype == np.float64
     assert np.array_equal(problem.val_batch.features, val.images)
     assert np.array_equal(problem.val_batch.labels, val.labels)
     assert np.array_equal(problem.test_batch.features, test.images)

@@ -28,14 +28,15 @@ SPEC = nn.ModelSpec((20, 8, 10))
 
 
 def rows_of(dataset, shards):
-    """Each shard's rows of `dataset`, one client's data per index array."""
-    return [Dataset(dataset.images[idx], dataset.labels[idx]) for idx in shards]
+    """Each shard's rows of `dataset`, one client's data per index array, as
+    float32 features like the rows `prepare_problem` gives a client."""
+    return [Dataset(dataset.images[idx].astype(np.float32), dataset.labels[idx])
+            for idx in shards]
 
 
 def profile_for(dataset, indices, epochs=1, lr=0.05, p=1.0, batch=16):
-    rows = np.asarray(indices, dtype=np.int64)
-    return ClientProfile(data=Dataset(dataset.images[rows], dataset.labels[rows]),
-                         epochs=epochs, local_lr=lr, participation=p,
+    (rows,) = rows_of(dataset, [np.asarray(indices, dtype=np.int64)])
+    return ClientProfile(data=rows, epochs=epochs, local_lr=lr, participation=p,
                          batch_size=batch)
 
 
@@ -70,14 +71,20 @@ class TestClientUpdate:
             client_update(SPEC, params, prof, np.random.default_rng(0))
 
     def test_single_batch_delta_is_one_sgd_step(self, toy_dataset):
-        # One epoch over one full batch composes to exactly -lr * grad.
+        # One epoch over one full batch is one float32 step from the params
+        # rounded to float32; its change, widened, is the delta, bit for bit.
         params = nn.init_model(SPEC, 1)
-        idx = np.arange(24)
-        prof = profile_for(toy_dataset, idx, lr=0.1, batch=24)
+        prof = profile_for(toy_dataset, np.arange(24), lr=0.1, batch=24)
         upd = client_update(SPEC, params, prof, np.random.default_rng(5))
-        batch = nn.Batch(toy_dataset.images[idx], toy_dataset.labels[idx])
-        _, grad = nn.loss_and_grad(SPEC, params, batch)
-        assert np.allclose(upd.delta, -0.1 * grad, atol=1e-15)
+        rng = np.random.default_rng(5)
+        rng.uniform()  # participation draw
+        order = rng.permutation(24)
+        batch = nn.Batch(prof.data.images[order], prof.data.labels[order])
+        w32 = params.astype(np.float32)
+        _, g32 = nn.loss_and_grad(SPEC, w32, batch)
+        assert g32.dtype == np.float32 and upd.delta.dtype == np.float64
+        assert upd.delta.tobytes() == \
+            (w32 - 0.1 * g32 - w32).astype(np.float64).tobytes()
 
     def test_near_optimal_params_near_zero_delta(self):
         # Overfit a 2-point toy first; further local training barely moves.
@@ -168,13 +175,16 @@ class TestAggregate:
 
 
 def reference_fedavg_round(spec, w, profiles, theta, eta_g, seed_seq):
-    """Independent FedAvg loop built straight from nn primitives."""
+    """Independent FedAvg loop built straight from nn primitives: each client
+    trains in float32 from w rounded to float32, and the server sums the
+    float64 widening of each client's change."""
     children = seed_seq.spawn(len(profiles))
     step = np.zeros_like(w)
+    w32 = w.astype(np.float32)
     for prof, child, t_k in zip(profiles, children, theta):
         rng = np.random.default_rng(child)
         assert rng.uniform() < prof.participation  # p=1 clients in this oracle
-        local = w
+        local = w32
         for _ in range(prof.epochs):
             order = rng.permutation(len(prof.data))
             for start in range(0, len(order), prof.batch_size):
@@ -182,7 +192,7 @@ def reference_fedavg_round(spec, w, profiles, theta, eta_g, seed_seq):
                 batch = nn.Batch(prof.data.images[rows], prof.data.labels[rows])
                 _, g = nn.loss_and_grad(spec, local, batch)
                 local = local - prof.local_lr * g
-        step += t_k * (local - w)
+        step += t_k * (local - w32).astype(np.float64)
     return w + eta_g * step
 
 

@@ -156,6 +156,21 @@ class TestLossAndGrad:
         assert grad.tobytes() == ref_grad.tobytes()
         assert np.array_equal(params, before)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_computes_in_the_dtype_of_its_params(self, dtype):
+        # Clients train in float32, the server's passes run in float64.
+        rng = np.random.default_rng(7)
+        spec = nn.ModelSpec((30, 16, 10))
+        params = rng.normal(scale=0.3, size=spec.num_params).astype(dtype)
+        batch = nn.Batch(rng.uniform(size=(32, 30)).astype(dtype),
+                         rng.integers(10, size=32))
+        loss, grad = nn.loss_and_grad(spec, params, batch)
+        ref_loss, ref_grad = reference_loss_and_grad(spec, params, batch)
+        assert grad.dtype == dtype and ref_grad.dtype == dtype
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert nn.sgd_step(params, grad, 0.1).dtype == dtype
+
     def test_zero_params_log_uniform_loss(self):
         spec = nn.ModelSpec((784, 16, 10))
         batch = nn.Batch(np.random.default_rng(2).uniform(size=(5, 784)),

@@ -234,6 +234,15 @@ class TestUnfoldTrain:
             unfold_train(cfg, profiles, val, test,
                          **{name: np.full(shape, 1 / 3)})
 
+    def test_fixed_schedule_takes_no_start_logits(self, toy_dataset):
+        # A fixed schedule applies no logits, so none may be passed with it.
+        profiles, val, test = small_problem(toy_dataset)
+        cfg = self._cfg(T=2)
+        with pytest.raises(ValueError, match="given together"):
+            unfold_train(cfg, profiles, val, test,
+                         fixed_theta=np.full((2, 3), 1 / 3),
+                         start_logits=np.zeros((2, 3)))
+
     def test_truncated_gradient_tracks_full_fd(self, toy_dataset):
         # Diagnostic for the truncation gap: full-horizon FD over the first
         # round's logits should at least agree in sign with the truncated
