@@ -1,12 +1,13 @@
 """MNIST-format ingestion and client-shard construction.
 
 Builds the three heterogeneity settings (statistical, computation,
-communication) as index shards over a dataset, and the per-client profiles
-that hold each client's own rows.
+communication) as index shards over the training labels, and the
+per-client profiles that hold each client's own rows.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -38,9 +39,9 @@ class IdxFormatError(ValueError):
 class Dataset:
     """Images and their labels, row for row.
 
-    `load_dataset` fills `images` with the file's uint8 pixels, and
-    `split_validation` and the partitioners keep them so: they only gather
-    rows and read labels. The rows the model reads are scaled once, by
+    `load_dataset` fills `images` with the file's uint8 pixels. The
+    validation split and the client shards are row indices into that file,
+    so the rows the model reads are gathered from it once and scaled, by
     `scale_pixels`, into features in [0, 1]: float32 for a client's rows.
     """
 
@@ -73,25 +74,37 @@ def _read_be32(f, what: str) -> int:
     return struct.unpack(">I", raw)[0]
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX3 image file into a read-only (count, rows, cols) uint8
-    array over the file's bytes."""
+def _read_idx(path, magic: int, dims: tuple[str, ...]) -> np.ndarray:
+    """An IDX file's uint8 payload as a read-only array over its bytes, shaped
+    by the header counts named in `dims`, once its magic is checked."""
     with open(path, "rb") as f:
-        magic = _read_be32(f, "magic")
-        if magic != IDX_IMAGE_MAGIC:
+        found = _read_be32(f, "magic")
+        if found != magic:
             raise IdxFormatError(
-                f"bad magic 0x{magic:08x} in {path} (expected 0x{IDX_IMAGE_MAGIC:08x})"
+                f"bad magic 0x{found:08x} in {path} (expected 0x{magic:08x})"
             )
-        count = _read_be32(f, "count")
-        rows = _read_be32(f, "rows")
-        cols = _read_be32(f, "cols")
+        shape = [_read_be32(f, what) for what in dims]
         payload = f.read()
-    expected = count * rows * cols
+    expected = math.prod(shape)
     if len(payload) != expected:
         raise IdxFormatError(
             f"truncated payload in {path}: {len(payload)} bytes, expected {expected}"
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+
+
+def load_idx_images(path) -> np.ndarray:
+    """Parse an IDX3 image file into a read-only (count, rows, cols) uint8
+    array over the file's bytes."""
+    return _read_idx(path, IDX_IMAGE_MAGIC, ("count", "rows", "cols"))
+
+
+def load_idx_labels(path) -> np.ndarray:
+    """Parse an IDX1 label file into an int64 vector of classes in [0, 10)."""
+    labels = _read_idx(path, IDX_LABEL_MAGIC, ("count",)).astype(np.int64)
+    if labels.size and labels.max() > 9:
+        raise IdxFormatError(f"label out of range [0, 10) in {path}: {labels.max()}")
+    return labels
 
 
 def scale_pixels(pixels: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -103,26 +116,6 @@ def scale_pixels(pixels: np.ndarray, dtype=np.float64) -> np.ndarray:
     float32 rounding of the float64 one, for each of the 256 values.
     """
     return np.divide(pixels, 255, dtype=dtype)
-
-
-def load_idx_labels(path) -> np.ndarray:
-    """Parse an IDX1 label file into an int64 vector of classes in [0, 10)."""
-    with open(path, "rb") as f:
-        magic = _read_be32(f, "magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(
-                f"bad magic 0x{magic:08x} in {path} (expected 0x{IDX_LABEL_MAGIC:08x})"
-            )
-        count = _read_be32(f, "count")
-        payload = f.read()
-    if len(payload) != count:
-        raise IdxFormatError(
-            f"truncated payload in {path}: {len(payload)} bytes, expected {count}"
-        )
-    labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-    if labels.size and labels.max() > 9:
-        raise IdxFormatError(f"label out of range [0, 10) in {path}: {labels.max()}")
-    return labels
 
 
 def load_dataset(images_path, labels_path) -> Dataset:
@@ -142,40 +135,39 @@ def default_label_map(K: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(l % NUM_CLASSES for l in (2 * k, 2 * k + 1)) for k in range(K))
 
 
-def partition_statistical(data: Dataset, sizes, label_map, seed: int) -> list[np.ndarray]:
-    """Label-skew split: client k draws sizes[k] samples from label_map[k]."""
+def partition_statistical(labels, sizes, label_map, seed: int) -> list[np.ndarray]:
+    """Label-skew split: client k draws sizes[k] of the rows whose class in
+    `labels` is one of label_map[k]."""
     rng = np.random.default_rng(seed)
-    by_label = {c: np.flatnonzero(data.labels == c) for c in range(NUM_CLASSES)}
-    remaining = {c: rng.permutation(idx) for c, idx in by_label.items()}
+    remaining = {c: rng.permutation(np.flatnonzero(labels == c))
+                 for c in range(NUM_CLASSES)}
     shards = []
     for k in range(len(sizes)):
-        labels = label_map[k]
-        pool = np.concatenate([remaining[c] for c in labels])
+        classes = label_map[k]
+        pool = np.concatenate([remaining[c] for c in classes])
         if len(pool) < sizes[k]:
             raise ValueError(
-                f"client {k} requests {sizes[k]} samples from labels {labels}, "
+                f"client {k} requests {sizes[k]} samples from labels {classes}, "
                 f"only {len(pool)} available"
             )
         take = rng.permutation(pool)[: sizes[k]]
-        taken = set(take.tolist())
-        for c in labels:
-            remaining[c] = np.array(
-                [i for i in remaining[c] if i not in taken], dtype=np.int64
-            )
+        for c in classes:
+            remaining[c] = remaining[c][~np.isin(remaining[c], take)]
         shards.append(np.sort(take))
     return shards
 
 
-def partition_balanced(data: Dataset, K: int, per_client: int, seed: int) -> list[np.ndarray]:
-    """Disjoint equal-size shards with a stratified (per-label) draw."""
-    if K * per_client > len(data):
+def partition_balanced(labels, K: int, per_client: int, seed: int) -> list[np.ndarray]:
+    """Disjoint equal-size shards of the rows whose classes are `labels`, with
+    a stratified (per-label) draw."""
+    if K * per_client > len(labels):
         raise ValueError(
             f"need {K * per_client} samples for K={K} x {per_client}, "
-            f"dataset has {len(data)}"
+            f"dataset has {len(labels)}"
         )
     rng = np.random.default_rng(seed)
-    classes = np.unique(data.labels)
-    pools = {c: rng.permutation(np.flatnonzero(data.labels == c)) for c in classes}
+    classes = np.unique(labels)
+    pools = {c: rng.permutation(np.flatnonzero(labels == c)) for c in classes}
     base, extra = divmod(per_client, len(classes))
     shards: list[list[int]] = [[] for _ in range(K)]
     cursors = {c: 0 for c in classes}
@@ -215,26 +207,23 @@ def make_profiles(cfg: ExperimentConfig, data: list[Dataset]) -> list[ClientProf
     ]
 
 
-def partition_for_setting(data: Dataset, cfg: ExperimentConfig) -> list[np.ndarray]:
-    """Dispatch to the partitioner matching the setting. Each partitioner
-    returns one shard per client: its sorted int64 row indices into `data`."""
+def partition_for_setting(labels, cfg: ExperimentConfig) -> list[np.ndarray]:
+    """Dispatch to the partitioner matching the setting. `labels` are the
+    classes of the training rows; each partitioner returns one shard per
+    client: its sorted int64 indices into `labels`."""
     seed = cfg.seeds["data"]
     if cfg.setting == STATISTICAL:
         return partition_statistical(
-            data, cfg.sizes or DEFAULT_SKEW_SIZES[:cfg.K],
+            labels, cfg.sizes or DEFAULT_SKEW_SIZES[:cfg.K],
             cfg.label_map or default_label_map(cfg.K), seed,
         )
-    return partition_balanced(data, cfg.K, cfg.per_client, seed)
+    return partition_balanced(labels, cfg.K, cfg.per_client, seed)
 
 
-def split_validation(data: Dataset, n_val: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Reserve a server-held validation split before sharding."""
-    if not (0 < n_val < len(data)):
-        raise ValueError(f"validation size {n_val} out of range for N={len(data)}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(data))
-    val_idx, train_idx = np.sort(order[:n_val]), np.sort(order[n_val:])
-    return (
-        Dataset(data.images[train_idx], data.labels[train_idx]),
-        Dataset(data.images[val_idx], data.labels[val_idx]),
-    )
+def split_validation(n: int, n_val: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reserve a server-held validation split of `n_val` of `n` rows before
+    sharding. Returns the sorted (train_idx, val_idx) into those rows."""
+    if not (0 < n_val < n):
+        raise ValueError(f"validation size {n_val} out of range for N={n}")
+    order = np.random.default_rng(seed).permutation(n)
+    return np.sort(order[n_val:]), np.sort(order[:n_val])

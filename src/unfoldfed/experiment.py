@@ -47,20 +47,24 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
             )
     # A value the data cannot satisfy is an error in the field that asked for it.
     try:
-        train, val = split_validation(full_train, cfg.val_size, cfg.seeds["data"])
+        train_idx, val_idx = split_validation(len(full_train), cfg.val_size,
+                                              cfg.seeds["data"])
     except ValueError as e:
         raise ConfigError(f"config field 'val_size': {e}") from e
+    images, labels = full_train.images, full_train.labels
     try:
-        indices = partition_for_setting(train, cfg)
+        shards = partition_for_setting(labels[train_idx], cfg)
     except ValueError as e:
         name = "sizes" if cfg.setting == STATISTICAL else "per_client"
         raise ConfigError(f"config field {name!r}: {e}") from e
+    # The split and the shards are indices into the file: each row the model
+    # reads is gathered once, as it is scaled.
+    rows = [train_idx[shard] for shard in shards]
     profiles = make_profiles(cfg, [
-        Dataset(scale_pixels(train.images[idx], np.float32), train.labels[idx])
-        for idx in indices
+        Dataset(scale_pixels(images[r], np.float32), labels[r]) for r in rows
     ])
     return Problem(
-        val_batch=nn.Batch(scale_pixels(val.images), val.labels),
+        val_batch=nn.Batch(scale_pixels(images[val_idx]), labels[val_idx]),
         test_batch=nn.Batch(scale_pixels(test.images), test.labels),
         profiles=profiles,
     )

@@ -17,6 +17,8 @@ from .data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 
 IMAGE_SIDE = 28
 NUM_CLASSES = 10
+NOISE = 0.12  # std of the Gaussian pixel noise added to every sample
+MAX_SHIFT = 2  # largest roll of a sample off its template, in pixels per axis
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -52,28 +54,23 @@ def class_prototypes(seed: int) -> np.ndarray:
     return protos
 
 
-def generate(
-    n_per_class: int,
-    seed: int,
-    noise: float = 0.12,
-    max_shift: int = 2,
-    proto_seed: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def generate(n_per_class: int, seed: int,
+             proto_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample `n_per_class` images per class; returns (uint8 images, labels).
 
     `proto_seed` fixes the class templates independently of the sample draw,
     so train and test splits can share classes while using distinct samples.
     """
     rng = np.random.default_rng(seed)
-    protos = class_prototypes((seed if proto_seed is None else proto_seed) ^ 0x5EED)
+    protos = class_prototypes(proto_seed ^ 0x5EED)
     n = n_per_class * NUM_CLASSES
     labels = np.repeat(np.arange(NUM_CLASSES, dtype=np.uint8), n_per_class)
     images = np.empty((n, IMAGE_SIDE, IMAGE_SIDE))
-    shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
+    shifts = rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=(n, 2))
     gains = rng.uniform(0.75, 1.0, size=n)
     for i in range(n):
         img = np.roll(protos[labels[i]], tuple(shifts[i]), axis=(0, 1)) * gains[i]
-        img += rng.normal(scale=noise, size=(IMAGE_SIDE, IMAGE_SIDE))
+        img += rng.normal(scale=NOISE, size=(IMAGE_SIDE, IMAGE_SIDE))
         images[i] = np.clip(img, 0.0, 1.0)
     order = rng.permutation(n)
     return np.round(images[order] * 255).astype(np.uint8), labels[order]

@@ -160,10 +160,12 @@ def test_criterion_4_simplex_and_shift_invariance(desk_paths, desk_runs):
 
 def test_criterion_5_homogeneity_yields_uniform_weights(desk_paths):
     full = load_dataset(desk_paths["train_images"], desk_paths["train_labels"])
-    train, val = split_validation(full, 500, seed=0)
+    train_idx, val_idx = split_validation(len(full), 500, seed=0)
     test = load_dataset(desk_paths["test_images"], desk_paths["test_labels"])
-    shared = Dataset(scale_pixels(train.images[:300]), train.labels[:300])
-    val_batch = nn.Batch(scale_pixels(val.images), val.labels)
+    rows = train_idx[:300]
+    # Float32 client rows and float64 server batches, as prepare_problem gives.
+    shared = Dataset(scale_pixels(full.images[rows], np.float32), full.labels[rows])
+    val_batch = nn.Batch(scale_pixels(full.images[val_idx]), full.labels[val_idx])
     test_batch = nn.Batch(scale_pixels(test.images[:500]), test.labels[:500])
     profiles = [
         ClientProfile(data=shared, epochs=1, local_lr=0.05, participation=1.0,

@@ -81,7 +81,7 @@ class TestIdxParsing:
 
 class TestPartitionStatistical:
     def test_two_labels_per_client(self, toy_dataset):
-        shards = partition_statistical(toy_dataset, (100,) * 5,
+        shards = partition_statistical(toy_dataset.labels, (100,) * 5,
                                        default_label_map(5), seed=0)
         seen = set()
         for k, shard in enumerate(shards):
@@ -94,7 +94,7 @@ class TestPartitionStatistical:
 
     def test_default_skew_weights(self, synth_paths):
         ds = data.load_dataset(synth_paths["train_images"], synth_paths["train_labels"])
-        shards = partition_statistical(ds, (200, 25, 25, 25, 25),
+        shards = partition_statistical(ds.labels, (200, 25, 25, 25, 25),
                                        default_label_map(5), seed=1)
         # Same 8:1 ratio as the default [4000, 500, 500, 500, 500] split.
         theta = fedavg_weights(make_profiles(ExperimentConfig(),
@@ -102,39 +102,41 @@ class TestPartitionStatistical:
         assert np.allclose(theta, [2 / 3, 1 / 12, 1 / 12, 1 / 12, 1 / 12], atol=1e-3)
 
     def test_deterministic(self, toy_dataset):
-        a = partition_statistical(toy_dataset, (50,) * 5, default_label_map(5), 7)
-        b = partition_statistical(toy_dataset, (50,) * 5, default_label_map(5), 7)
+        labels = toy_dataset.labels
+        a = partition_statistical(labels, (50,) * 5, default_label_map(5), 7)
+        b = partition_statistical(labels, (50,) * 5, default_label_map(5), 7)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa, sb)
 
     def test_oversized_request_rejected(self, toy_dataset):
         with pytest.raises(ValueError, match="available"):
-            partition_statistical(toy_dataset, (10**6, 1, 1, 1, 1),
+            partition_statistical(toy_dataset.labels, (10**6, 1, 1, 1, 1),
                                   default_label_map(5), seed=0)
 
 
 class TestPartitionBalanced:
     def test_equal_sizes_and_disjoint(self, toy_dataset):
-        shards = partition_balanced(toy_dataset, K=5, per_client=20, seed=0)
+        shards = partition_balanced(toy_dataset.labels, K=5, per_client=20, seed=0)
         all_idx = np.concatenate(shards)
         assert all(s.dtype == np.int64 and len(s) == 20 for s in shards)
         assert all(np.all(np.diff(s) > 0) for s in shards)
         assert len(np.unique(all_idx)) == 100
 
     def test_stratified_within_one(self, toy_dataset):
-        shards = partition_balanced(toy_dataset, K=5, per_client=20, seed=0)
+        shards = partition_balanced(toy_dataset.labels, K=5, per_client=20, seed=0)
         for shard in shards:
             counts = np.bincount(toy_dataset.labels[shard], minlength=10)
             assert np.all(np.abs(counts - 2) <= 1)
 
     def test_insufficient_data_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
-            partition_balanced(toy_dataset, K=10, per_client=1000, seed=0)
+            partition_balanced(toy_dataset.labels, K=10, per_client=1000, seed=0)
 
 
 class TestMakeProfiles:
     def _shards(self, dataset, K=5):
-        return rows_of(dataset, partition_balanced(dataset, K=K, per_client=20, seed=0))
+        return rows_of(dataset, partition_balanced(dataset.labels, K=K,
+                                                   per_client=20, seed=0))
 
     def test_computation_epoch_list(self, toy_dataset):
         cfg = ExperimentConfig(setting=COMPUTATION, epoch_list=[1, 1, 3, 3, 5])
@@ -161,19 +163,22 @@ class TestMakeProfiles:
 
 class TestSplitValidation:
     def test_sizes_and_disjointness(self, toy_dataset):
-        train, val = split_validation(toy_dataset, 100, seed=0)
+        train, val = split_validation(len(toy_dataset), 100, seed=0)
         assert len(val) == 100
         assert len(train) == len(toy_dataset) - 100
+        assert all(idx.dtype == np.int64 and np.all(np.diff(idx) > 0)
+                   for idx in (train, val))
+        assert np.array_equal(np.union1d(train, val), np.arange(len(toy_dataset)))
 
     def test_deterministic(self, toy_dataset):
-        a_train, a_val = split_validation(toy_dataset, 50, seed=9)
-        b_train, b_val = split_validation(toy_dataset, 50, seed=9)
-        assert np.array_equal(a_val.images, b_val.images)
-        assert np.array_equal(a_train.labels, b_train.labels)
+        a_train, a_val = split_validation(len(toy_dataset), 50, seed=9)
+        b_train, b_val = split_validation(len(toy_dataset), 50, seed=9)
+        assert np.array_equal(a_val, b_val)
+        assert np.array_equal(a_train, b_train)
 
     def test_out_of_range_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
-            split_validation(toy_dataset, len(toy_dataset), seed=0)
+            split_validation(len(toy_dataset), len(toy_dataset), seed=0)
 
 
 class TestScalePixels:

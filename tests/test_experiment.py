@@ -36,23 +36,23 @@ def test_features_bitwise_equal_to_scaling_every_image_first(synth_paths, settin
         ds = load_dataset(images, labels)
         return Dataset(ds.images.astype(np.float64) / 255.0, ds.labels)
 
-    train, val = split_validation(
-        scaled_first(synth_paths["train_images"], synth_paths["train_labels"]),
-        cfg.val_size, cfg.seeds["data"])
+    full = scaled_first(synth_paths["train_images"], synth_paths["train_labels"])
+    train_idx, val_idx = split_validation(len(full), cfg.val_size, cfg.seeds["data"])
     test = scaled_first(synth_paths["test_images"], synth_paths["test_labels"])
-    shards = partition_for_setting(train, cfg)
+    shards = partition_for_setting(full.labels[train_idx], cfg)
 
     problem = prepare_problem(cfg)
     assert len(problem.profiles) == len(shards)
     for shard, profile in zip(shards, problem.profiles):
+        rows = train_idx[shard]
         assert profile.data.images.dtype == np.float32
         assert profile.data.images.tobytes() == \
-            train.images[shard].astype(np.float32).tobytes()
-        assert np.array_equal(profile.data.labels, train.labels[shard])
+            full.images[rows].astype(np.float32).tobytes()
+        assert np.array_equal(profile.data.labels, full.labels[rows])
     for batch in (problem.val_batch, problem.test_batch):
         assert batch.features.dtype == np.float64
-    assert np.array_equal(problem.val_batch.features, val.images)
-    assert np.array_equal(problem.val_batch.labels, val.labels)
+    assert np.array_equal(problem.val_batch.features, full.images[val_idx])
+    assert np.array_equal(problem.val_batch.labels, full.labels[val_idx])
     assert np.array_equal(problem.test_batch.features, test.images)
     assert np.array_equal(problem.test_batch.labels, test.labels)
 
@@ -68,6 +68,26 @@ def test_peak_memory_below_one_float_copy_of_the_training_images(synth_paths):
     finally:
         tracemalloc.stop()
     assert peak < one_float_copy
+
+
+@pytest.mark.parametrize("setting", [STATISTICAL, COMPUTATION, COMMUNICATION])
+def test_prepare_problem_keeps_no_copy_of_the_training_set(synth_paths, setting):
+    # Beyond what the Problem holds, a call may hold the loaded files and the
+    # rows it is scaling, but no second copy of the training pixels: that
+    # copy alone would take the peak past 1.5 times their bytes.
+    cfg = synth_config(synth_paths, setting)
+    train_pixels = load_dataset(cfg.train_images, cfg.train_labels).images.nbytes
+    prepare_problem(cfg)  # warm-up: first-call caches are not the call's own
+    tracemalloc.start()
+    try:
+        problem = prepare_problem(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(p.data.images.nbytes + p.data.labels.nbytes for p in problem.profiles)
+    held += sum(b.features.nbytes + b.labels.nbytes
+                for b in (problem.val_batch, problem.test_batch))
+    assert peak - held < 1.5 * train_pixels
 
 
 @pytest.mark.parametrize("mode", ["fedavg", "fixed-uniform"])

@@ -198,7 +198,7 @@ def reference_fedavg_round(spec, w, profiles, theta, eta_g, seed_seq):
 
 class TestRunRound:
     def _setup(self, toy_dataset, K=3):
-        shards = partition_balanced(toy_dataset, K=K, per_client=30, seed=2)
+        shards = partition_balanced(toy_dataset.labels, K=K, per_client=30, seed=2)
         cfg = ExperimentConfig(K=K, local_lr=0.05, batch_size=10)
         profiles = make_profiles(cfg, rows_of(toy_dataset, shards))
         eval_batch = nn.Batch(toy_dataset.images[:50], toy_dataset.labels[:50])
@@ -253,7 +253,7 @@ class TestRunRound:
         assert np.allclose(w_next, w - 0.05 * g, atol=1e-12)
 
     def test_all_absent_regularizer_only(self, toy_dataset):
-        shards = partition_balanced(toy_dataset, K=2, per_client=20, seed=0)
+        shards = partition_balanced(toy_dataset.labels, K=2, per_client=20, seed=0)
         profiles = [
             ClientProfile(data=d, epochs=1, local_lr=0.05,
                           participation=1e-12, batch_size=8)
@@ -274,7 +274,7 @@ def setting_profiles(dataset, setting, K=5):
     participation: computation has epochs (1, 1, 3, 3, 5), communication
     skips clients 2-4 at random."""
     cfg = ExperimentConfig(K=K, setting=setting, local_lr=0.05, batch_size=10)
-    shards = partition_balanced(dataset, K=K, per_client=30, seed=2)
+    shards = partition_balanced(dataset.labels, K=K, per_client=30, seed=2)
     return make_profiles(cfg, rows_of(dataset, shards))
 
 
@@ -449,10 +449,11 @@ class TestClientPool:
 
             federation.usable_cores = lambda: 8
             rng = np.random.default_rng(0)
-            data = [Dataset(rng.uniform(size=(30, 20)), rng.integers(10, size=30))
+            data = [Dataset(rng.uniform(size=(30, 20)).astype(np.float32),
+                            rng.integers(10, size=30))
                     for _ in range(3)]
             profiles = make_profiles(ExperimentConfig(K=3, batch_size=10), data)
-            batch = nn.Batch(data[0].images, data[0].labels)
+            batch = nn.Batch(data[0].images.astype(np.float64), data[0].labels)
             spec = nn.ModelSpec((20, 8, 10))
             with federation.client_pool(spec, profiles, 3) as pool:
                 federation.run_round(0, nn.init_model(spec, 0), spec, profiles,
