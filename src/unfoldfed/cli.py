@@ -95,14 +95,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if not (1e-6 <= args.eps <= 1e-2):
-        raise ConfigError(f"eps {args.eps} outside [1e-6, 1e-2]")
     if args.instances < 1:
         raise ConfigError(f"instances must be at least 1, got {args.instances}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    max_err, redrawn = run_gradcheck(n_instances=args.instances, eps=args.eps,
-                                     seed=args.seed)
+    max_err, redrawn = run_gradcheck(n_instances=args.instances, seed=args.seed)
     ok = max_err < 1e-4
     print(f"gradcheck: max relative error {max_err:.3e} over {args.instances} "
           f"instances, {redrawn} redrawn at a kink -> {'PASS' if ok else 'FAIL'}")
@@ -186,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.set_defaults(func=cmd_partition)
 
     p_grad = sub.add_parser("gradcheck", help="verify meta-gradient vs FD oracle")
-    p_grad.add_argument("--eps", type=float, default=1e-3)
     p_grad.add_argument("--instances", type=int, default=20)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.set_defaults(func=cmd_gradcheck)

@@ -13,8 +13,9 @@ inherit the profiles, rows included, copy-on-write. Each round, every worker
 trains its share and sends one reply with its clients' float32 changes,
 which the caller replays after training its own share: so every client's
 update is one `client_update` call in the calling process. Each client
-draws from its own generator and the server reduces in client-index order,
-so every pool size gives the same bits.
+draws from its own generator, spawned from the round's seed entropy, and
+the server reduces in client-index order, so every pool size gives the
+same bits.
 """
 
 from __future__ import annotations
@@ -322,7 +323,7 @@ def run_round(
     theta: np.ndarray,
     eta_g: float,
     lambda_model: float,
-    seed_seq: np.random.SeedSequence,
+    seed: int | tuple[int, ...],
     val: nn.Batch,
     test: nn.Batch,
     pool: ClientPool = SERIAL,
@@ -330,20 +331,15 @@ def run_round(
 ) -> tuple[np.ndarray, RoundRecord, list[np.ndarray], np.ndarray | None]:
     """Execute one full round and evaluate the result.
 
-    Clients train in `pool`, client k on a generator seeded by the k-th
-    child that `spawn` gives a fresh `seed_seq`. The children are built
-    directly, leaving `seed_seq` unspawned, so equal arguments give an
+    `seed` is the round's seed entropy, such as (seeds["rounds"], m, t).
+    Clients train in `pool`, client k on a generator seeded by child k of
+    `np.random.SeedSequence(seed).spawn(K)`, so equal arguments give an
     equal round. Returns the new model, the round record, the per-client
     deltas and, with `val_grad`, the gradient of the validation loss at
     the new model (else None): the meta-gradient needs both, and one
     `nn.loss_and_grad` gives the loss bitwise as `nn.evaluate` does.
     """
-    child_seeds = [
-        np.random.SeedSequence(seed_seq.entropy,
-                               spawn_key=seed_seq.spawn_key + (k,),
-                               pool_size=seed_seq.pool_size)
-        for k in range(len(profiles))
-    ]
+    child_seeds = np.random.SeedSequence(seed).spawn(len(profiles))
     updates = pool.train(spec, global_params, profiles, child_seeds)
 
     new_params = aggregate(global_params, updates, theta, eta_g, lambda_model)

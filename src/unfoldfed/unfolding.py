@@ -9,7 +9,6 @@ round's immediate effect, with a finite-difference oracle alongside.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +17,7 @@ from . import nn
 from .config import ExperimentConfig
 from .data import ClientProfile
 from .federation import (
-    SERIAL,
     ClientDivergedError,
-    ClientPool,
     ClientUpdate,
     RoundRecord,
     aggregate,
@@ -116,41 +113,6 @@ def meta_step(
     return z - eta_meta * (row_grads + lambda_theta * z)
 
 
-def rollout(
-    cfg: ExperimentConfig,
-    spec: nn.ModelSpec,
-    profiles: list[ClientProfile],
-    val: nn.Batch,
-    test: nn.Batch,
-    w0: np.ndarray,
-    thetas: list[np.ndarray],
-    m: int,
-    pool: ClientPool = SERIAL,
-    val_grad: bool = False,
-) -> Iterator[tuple[np.ndarray, RoundRecord, list[np.ndarray], np.ndarray | None]]:
-    """The T rounds of meta-iteration m from `w0`, round t weighted by thetas[t].
-
-    `spec` is `cfg.model_spec()`, built once per run by the caller, and
-    `pool` trains the clients. Round t is seeded from (seeds["rounds"], m, t)
-    only. Yields `run_round`'s (w_next, record, deltas, g) round by round, so
-    only one round's K client deltas are alive; g is None unless `val_grad`.
-    A client whose training diverges raises ClientDivergedError naming the
-    meta-iteration, the round and the client.
-    """
-    w = w0
-    for t in range(cfg.T):
-        try:
-            w, rec, deltas, g = run_round(
-                t, w, spec, profiles, thetas[t],
-                cfg.eta_g, cfg.lambda_model,
-                np.random.SeedSequence([cfg.seeds["rounds"], m, t]),
-                val, test, pool, val_grad,
-            )
-        except ClientDivergedError as e:
-            raise ClientDivergedError(f"meta-iteration {m}, round {t}, {e}") from None
-        yield w, rec, deltas, g
-
-
 def unfold_train(
     cfg: ExperimentConfig,
     profiles: list[ClientProfile],
@@ -163,11 +125,17 @@ def unfold_train(
     logits and the run's RunHistory.
 
     Every meta-iteration restarts from the same seeded initial model so the
-    round index t of each logits row keeps its meaning. `fixed_theta` is a
-    T x K weight schedule (FedAvg, uniform, a saved `weights.json` theta) run
-    on the exact same seeding path: row t weights round t of every
-    meta-iteration, and no logits are learned or recorded, so it cannot be
-    given with `start_logits`.
+    round index t of each logits row keeps its meaning, and runs its T
+    rounds through `run_round`, round t of meta-iteration m seeded from
+    (seeds["rounds"], m, t) only. A client whose training diverges raises
+    ClientDivergedError naming the meta-iteration, the round and the client.
+
+    `fixed_theta` is a T x K weight schedule (FedAvg, uniform, a saved
+    `weights.json` theta) run on the exact same seeding path: row t weights
+    round t of every meta-iteration, and no logits are learned or recorded,
+    so it cannot be given with `start_logits`. Under a seeds["rounds"] that
+    training never used, it replays the schedule on fresh client draws from
+    the same split and initial model.
 
     The logits rows are kept canonical (row max zero). A uniform row shift
     never changes the softmax weights, and canonical form makes that
@@ -203,13 +171,20 @@ def unfold_train(
                 else [softmax_weights(row) for row in z]
             row_grads = np.zeros((cfg.T, cfg.K))
             meta_loss = 0.0
-            rounds = rollout(cfg, spec, profiles, val, test, w0, thetas, m, pool,
-                             val_grad=fixed_theta is None)
-            for _, rec, deltas, g in rounds:
+            w = w0
+            for t in range(cfg.T):
+                try:
+                    w, rec, deltas, g = run_round(
+                        t, w, spec, profiles, thetas[t],
+                        cfg.eta_g, cfg.lambda_model, (cfg.seeds["rounds"], m, t),
+                        val, test, pool, val_grad=fixed_theta is None,
+                    )
+                except ClientDivergedError as e:
+                    raise ClientDivergedError(
+                        f"meta-iteration {m}, round {t}, {e}") from None
                 meta_loss += rec.val_loss
                 if fixed_theta is None:
-                    row_grads[rec.round] = meta_gradient_row(
-                        z[rec.round], deltas, g, cfg.eta_g)
+                    row_grads[t] = meta_gradient_row(z[t], deltas, g, cfg.eta_g)
                 history.rounds.append((m, rec))
             if not np.isfinite(meta_loss):
                 raise FloatingPointError(

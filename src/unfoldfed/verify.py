@@ -9,11 +9,12 @@ from .federation import ClientUpdate, aggregate
 from .unfolding import fd_meta_gradient_row, meta_gradient_row, softmax_weights
 
 
-# Every case: a 4-3-2 model, 3 clients, 8 validation rows, and the server
-# update at eta_g 1 without weight decay.
+# Every case: a 4-3-2 model, 3 clients, 8 validation rows, the server
+# update at eta_g 1 without weight decay, and central differences of step EPS.
 SPEC = nn.ModelSpec((4, 3, 2))
 N_CLIENTS, N_VAL = 3, 8
 ETA_G, LAMBDA_MODEL = 1.0, 0.0
+EPS = 1e-3
 
 
 def random_instance(rng: np.random.Generator):
@@ -28,10 +29,10 @@ def random_instance(rng: np.random.Generator):
     return w, deltas, z, val
 
 
-def gradcheck_instance(rng, eps=1e-3) -> float | None:
+def gradcheck_instance(rng) -> float | None:
     """Relative error between analytic and FD meta-gradient for one case.
 
-    Returns None when some FD point z +/- eps*e_j changes a hidden rectifier
+    Returns None when some FD point z +/- EPS*e_j changes a hidden rectifier
     mask on the validation batch: central differences across a kink do not
     estimate the gradient at z, so such a case cannot judge the analytic row.
     """
@@ -43,7 +44,7 @@ def gradcheck_instance(rng, eps=1e-3) -> float | None:
         _, acts = nn._forward_pass(nn.unpack_params(SPEC, w_q), val.features)
         return np.hstack([a > 0 for a in acts[1:-1]])
 
-    steps = eps * np.eye(len(z))
+    steps = EPS * np.eye(len(z))
     at_z = rectifier_masks(z)
     if any(not np.array_equal(rectifier_masks(zq), at_z)
            for zq in np.vstack([z + steps, z - steps])):
@@ -52,13 +53,12 @@ def gradcheck_instance(rng, eps=1e-3) -> float | None:
     w_next = aggregate(w, updates, softmax_weights(z), ETA_G, LAMBDA_MODEL)
     _, g = nn.loss_and_grad(SPEC, w_next, val)
     analytic = meta_gradient_row(z, deltas, g, ETA_G)
-    fd = fd_meta_gradient_row(SPEC, z, w, deltas, val, ETA_G, LAMBDA_MODEL, eps)
+    fd = fd_meta_gradient_row(SPEC, z, w, deltas, val, ETA_G, LAMBDA_MODEL, EPS)
     scale = max(float(np.abs(fd).max()), 1e-12)
     return float(np.abs(analytic - fd).max()) / scale
 
 
-def run_gradcheck(n_instances: int = 20, eps: float = 1e-3,
-                  seed: int = 0) -> tuple[float, int]:
+def run_gradcheck(n_instances: int = 20, seed: int = 0) -> tuple[float, int]:
     """Max relative error over `n_instances` kink-free random 3-client cases.
 
     Cases whose FD points cross a rectifier kink are redrawn from the same
@@ -68,7 +68,7 @@ def run_gradcheck(n_instances: int = 20, eps: float = 1e-3,
     errors: list[float] = []
     redrawn = 0
     while len(errors) < n_instances:
-        err = gradcheck_instance(rng, eps=eps)
+        err = gradcheck_instance(rng)
         if err is None:
             redrawn += 1
         else:

@@ -365,9 +365,6 @@ class TestCmdGradcheck:
                 assert main(["gradcheck", "--seed", str(seed)]) == EXIT_VERIFY, seed
             assert "FAIL" in capsys.readouterr().out
 
-    def test_eps_out_of_bounds_exit_2(self):
-        assert main(["gradcheck", "--eps", "0.5"]) == EXIT_CONFIG
-
     def test_no_instances_exit_2(self, capsys):
         assert main(["gradcheck", "--instances", "0"]) == EXIT_CONFIG
         assert "instances" in capsys.readouterr().err

@@ -208,19 +208,18 @@ class TestRunRound:
         profiles, shards, eval_batch = self._setup(toy_dataset)
         w = nn.init_model(SPEC, 3)
         theta = fedavg_weights(profiles)
-        seed = np.random.SeedSequence([99, 0, 0])
         w_next, _, _, _ = run_round(
-            0, w, SPEC, profiles, theta, 1.0, 0.0,
-            np.random.SeedSequence([99, 0, 0]), eval_batch, eval_batch,
+            0, w, SPEC, profiles, theta, 1.0, 0.0, (99, 0, 0),
+            eval_batch, eval_batch,
         )
-        ref = reference_fedavg_round(SPEC, w, profiles, theta, 1.0, seed)
+        ref = reference_fedavg_round(SPEC, w, profiles, theta, 1.0,
+                                     np.random.SeedSequence([99, 0, 0]))
         assert np.array_equal(w_next, ref)
 
-    def test_seed_sequence_reused_gives_the_same_round(self, toy_dataset):
+    def test_same_seed_gives_the_same_round(self, toy_dataset):
         profiles, _, eval_batch = self._setup(toy_dataset)
         args = (0, nn.init_model(SPEC, 3), SPEC, profiles,
-                np.full(3, 1 / 3), 1.0, 1e-4, np.random.SeedSequence([5, 0, 0]),
-                eval_batch, eval_batch)
+                np.full(3, 1 / 3), 1.0, 1e-4, (5, 0, 0), eval_batch, eval_batch)
         w1, rec1, deltas1, _ = run_round(*args)
         w2, rec2, deltas2, _ = run_round(*args)
         assert np.array_equal(w1, w2)
@@ -233,7 +232,7 @@ class TestRunRound:
         w = nn.init_model(SPEC, 3)
         before = w.copy()
         run_round(0, w, SPEC, profiles, np.full(3, 1 / 3), 1.0, 1e-4,
-                  np.random.SeedSequence([8, 0, 0]), eval_batch, eval_batch)
+                  (8, 0, 0), eval_batch, eval_batch)
         assert np.array_equal(w, before)
 
     def test_single_client_equals_centralized_step(self, toy_dataset):
@@ -241,8 +240,8 @@ class TestRunRound:
         w = nn.init_model(SPEC, 4)
         eval_batch = nn.Batch(toy_dataset.images[:30], toy_dataset.labels[:30])
         w_next, _, _, _ = run_round(
-            0, w, SPEC, [prof], np.array([1.0]), 1.0, 0.0,
-            np.random.SeedSequence(0), eval_batch, eval_batch,
+            0, w, SPEC, [prof], np.array([1.0]), 1.0, 0.0, 0,
+            eval_batch, eval_batch,
         )
         # Single full-batch client with theta=1: one plain SGD step.
         rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
@@ -262,8 +261,8 @@ class TestRunRound:
         w = nn.init_model(SPEC, 5)
         eval_batch = nn.Batch(toy_dataset.images[:20], toy_dataset.labels[:20])
         w_next, rec, _, _ = run_round(
-            0, w, SPEC, profiles, np.array([0.5, 0.5]), 1.0, 0.01,
-            np.random.SeedSequence(1), eval_batch, eval_batch,
+            0, w, SPEC, profiles, np.array([0.5, 0.5]), 1.0, 0.01, 1,
+            eval_batch, eval_batch,
         )
         assert np.allclose(w_next, w - 0.01 * w, atol=1e-15)
         assert not rec.participation.any()
@@ -314,10 +313,9 @@ class TestClientPool:
             for t in range(4):
                 head = (t, w, SPEC, profiles, theta, 1.0, 1e-4)
                 w_pool, rec_pool, deltas_pool, _ = run_round(
-                    *head, np.random.SeedSequence([7, 0, t]), eval_batch,
-                    eval_batch, pool)
+                    *head, (7, 0, t), eval_batch, eval_batch, pool)
                 w, rec, deltas, _ = run_round(
-                    *head, np.random.SeedSequence([7, 0, t]), eval_batch, eval_batch)
+                    *head, (7, 0, t), eval_batch, eval_batch)
                 assert np.array_equal(w_pool, w)
                 assert all(np.array_equal(a, b) for a, b in zip(deltas_pool, deltas))
                 assert np.array_equal(rec_pool.participation, rec.participation)
@@ -347,8 +345,8 @@ class TestClientPool:
             monkeypatch.setattr(federation, "client_update", counted)
             for t in range(3):
                 run_round(t, nn.init_model(SPEC, 0), SPEC, profiles,
-                          np.full(5, 0.2), 1.0, 0.0, np.random.SeedSequence(t),
-                          eval_batch, eval_batch, pool)
+                          np.full(5, 0.2), 1.0, 0.0, t, eval_batch, eval_batch,
+                          pool)
         assert sorted(calls) == sorted(list(range(5)) * 3)
         assert mp.active_children() == []
 
@@ -359,12 +357,11 @@ class TestClientPool:
         eval_batch = nn.Batch(toy_dataset.images[:20], toy_dataset.labels[:20])
         head = (0, nn.init_model(SPEC, 0), SPEC, profiles, np.full(4, 0.25), 1.0, 0.0)
         with pytest.raises(IndexError) as serial:
-            run_round(*head, np.random.SeedSequence(4), eval_batch, eval_batch)
+            run_round(*head, 4, eval_batch, eval_batch)
         assert str(10_000 + min(bad)) in str(serial.value)
         with pytest.raises(IndexError) as pooled:
             with client_pool(SPEC, profiles, 2) as pool:
-                run_round(*head, np.random.SeedSequence(4), eval_batch, eval_batch,
-                          pool)
+                run_round(*head, 4, eval_batch, eval_batch, pool)
         assert str(pooled.value) == str(serial.value)
         assert mp.active_children() == []
 
@@ -402,8 +399,8 @@ class TestClientPool:
             m.setattr(threading.Thread, "start", counted)
             for t in range(2):
                 run_round(t, nn.init_model(SPEC, 0), SPEC, profiles,
-                          np.full(5, 0.2), 1.0, 0.0, np.random.SeedSequence(t),
-                          eval_batch, eval_batch, pool)
+                          np.full(5, 0.2), 1.0, 0.0, t, eval_batch, eval_batch,
+                          pool)
         assert started == []
         assert mp.active_children() == []
 
@@ -431,8 +428,7 @@ class TestClientPool:
                         assert worker.exitcode == -signal.SIGKILL
                     run_round(t, nn.init_model(SPEC, 0), SPEC, profiles,
                               np.full(5, 0.2), 1.0, 0.0,
-                              np.random.SeedSequence(t), eval_batch, eval_batch,
-                              pool)
+                              t, eval_batch, eval_batch, pool)
         assert str(died.value) == f"client worker {worker.pid} died"
         assert mp.active_children() == []
 
@@ -458,7 +454,7 @@ class TestClientPool:
             with federation.client_pool(spec, profiles, 3) as pool:
                 federation.run_round(0, nn.init_model(spec, 0), spec, profiles,
                                      np.full(3, 1 / 3), 1.0, 0.0,
-                                     np.random.SeedSequence(0), batch, batch, pool)
+                                     0, batch, batch, pool)
                 first = pool._workers[0][0]
                 os.kill(first.pid, signal.SIGKILL)
                 first.join(timeout=10)

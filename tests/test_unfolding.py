@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unfoldfed import nn
+from unfoldfed import federation, nn
 from unfoldfed.config import ExperimentConfig
 from unfoldfed.data import make_profiles, partition_balanced
+from unfoldfed.federation import ClientDivergedError, run_round
 from unfoldfed.unfolding import (
     fd_meta_gradient_row,
     meta_gradient_row,
     meta_step,
-    rollout,
     softmax_weights,
     unfold_train,
 )
@@ -253,9 +253,10 @@ class TestUnfoldTrain:
         logits, history = unfold_train(cfg, profiles, val, test)
         z = history.logits[0]
         w0 = nn.init_model(SPEC, cfg.seeds["model"])
-        thetas = [softmax_weights(row) for row in z]
-        _, _, deltas, g = next(rollout(cfg, SPEC, profiles, val, test,
-                                       w0, thetas, m=0, val_grad=True))
+        _, _, deltas, g = run_round(0, w0, SPEC, profiles, softmax_weights(z[0]),
+                                    cfg.eta_g, cfg.lambda_model,
+                                    (cfg.seeds["rounds"], 0, 0), val, test,
+                                    val_grad=True)
         row = meta_gradient_row(z[0], deltas, g, cfg.eta_g)
         eps = 1e-2
         fd_full = np.empty(3)
@@ -277,13 +278,14 @@ class TestUnfoldTrain:
         # one a second validation pass at w_next gives, bit for bit.
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(T=4)
-        w0 = nn.init_model(SPEC, cfg.seeds["model"])
         z = np.random.default_rng(0).normal(size=(cfg.T, cfg.K))
-        thetas = [softmax_weights(row) for row in z]
-        merged = rollout(cfg, SPEC, profiles, val, test, w0, thetas, m=1,
-                         val_grad=True)
-        plain = rollout(cfg, SPEC, profiles, val, test, w0, thetas, m=1)
-        for (w, rec, deltas, g), (w_ref, rec_ref, _, no_g) in zip(merged, plain):
+        w = w_ref = nn.init_model(SPEC, cfg.seeds["model"])
+        for t in range(cfg.T):
+            args = (softmax_weights(z[t]), cfg.eta_g, cfg.lambda_model,
+                    (cfg.seeds["rounds"], 1, t), val, test)
+            w, rec, deltas, g = run_round(t, w, SPEC, profiles, *args,
+                                          val_grad=True)
+            w_ref, rec_ref, _, no_g = run_round(t, w_ref, SPEC, profiles, *args)
             assert no_g is None
             assert w.tobytes() == w_ref.tobytes()
             assert rec.val_loss == rec_ref.val_loss == nn.evaluate(SPEC, w, val)[0]
@@ -312,6 +314,28 @@ class TestUnfoldTrain:
         assert mp.active_children() == []
         assert messages == ["meta-iteration 0, round 0, client 2: "
                             "non-finite parameters after local training"] * 2
+
+    def test_diverged_client_named_with_its_meta_iteration_and_round(
+            self, toy_dataset, monkeypatch):
+        # All 3 clients take part in every round, 9 local_sgd calls per
+        # meta-iteration, so call 16 from 0 trains client 1 in round 2 of
+        # meta-iteration 1.
+        profiles, val, test = small_problem(toy_dataset)
+        calls = []
+        local_sgd = federation.local_sgd
+
+        def diverges_on_call_16(*args):
+            calls.append(len(calls))
+            if calls[-1] == 16:
+                raise ClientDivergedError(
+                    "non-finite parameters after local training")
+            return local_sgd(*args)
+
+        monkeypatch.setattr(federation, "local_sgd", diverges_on_call_16)
+        with pytest.raises(ClientDivergedError) as diverged:
+            unfold_train(self._cfg(M=2, T=3, threads=1), profiles, val, test)
+        assert str(diverged.value) == ("meta-iteration 1, round 2, client 1: "
+                                       "non-finite parameters after local training")
 
     @pytest.mark.parametrize("setting", ["computation", "communication"])
     def test_pool_bitwise_equal_to_one_process(self, toy_dataset, many_cores,
