@@ -60,12 +60,11 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
         f.write("\n")
 
 
-def write_artifacts(cfg: ExperimentConfig, history, logits, theta_matrix) -> None:
-    """Write what `run_experiment` returned into the existing `cfg.out_dir`:
-    history.csv, weights.json (learned weights only), the three charts and
-    manifest.json."""
+def write_artifacts(cfg: ExperimentConfig, history) -> None:
+    """Write a run's history into the existing `cfg.out_dir`: history.csv,
+    weights.json (learned weights only), the three charts and manifest.json."""
     report.emit_csv(history, os.path.join(cfg.out_dir, "history.csv"))
-    if logits is not None:
+    if history.final_logits is not None:
         # Hash only fields that influence results: dataset paths, out_dir
         # and threads must not change artifact bytes.
         ignored = (*DATA_PATH_KEYS, "out_dir", "threads")
@@ -73,12 +72,9 @@ def write_artifacts(cfg: ExperimentConfig, history, logits, theta_matrix) -> Non
         digest = hashlib.sha256(
             json.dumps(echo, sort_keys=True).encode()
         ).hexdigest()[:16]
-        report.emit_weights_json(
-            logits, theta_matrix, os.path.join(cfg.out_dir, "weights.json"),
-            config_hash=digest,
-        )
-    for kind in ("accuracy", "loss", "weights"):
-        report.render_svg(history, kind, os.path.join(cfg.out_dir, f"{kind}.svg"))
+        report.emit_weights_json(history.final_logits, digest,
+                                 os.path.join(cfg.out_dir, "weights.json"))
+    report.render_charts(history, cfg.out_dir)
     _write_manifest(cfg, cfg.out_dir)
 
 
@@ -86,8 +82,8 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    history, logits, theta_matrix = run_experiment(cfg)
-    write_artifacts(cfg, history, logits, theta_matrix)
+    history = run_experiment(cfg)
+    write_artifacts(cfg, history)
     elapsed = time.perf_counter() - t0
     print(f"mode={cfg.mode} final_test_accuracy={final_test_accuracy(history):.4f} "
           f"wall_clock={elapsed:.1f}s")
@@ -135,9 +131,8 @@ def cmd_partition(args) -> int:
 def cmd_report(args) -> int:
     history = report.read_csv(args.history)
     os.makedirs(args.out, exist_ok=True)
-    for kind in ("accuracy", "loss", "weights"):
-        report.render_svg(history, kind, os.path.join(args.out, f"{kind}.svg"))
-    print(f"rendered 3 charts to {args.out}")
+    report.render_charts(history, args.out)
+    print(f"rendered {len(report.CHART_KINDS)} charts to {args.out}")
     return EXIT_OK
 
 

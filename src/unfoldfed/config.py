@@ -63,9 +63,7 @@ class ExperimentConfig:
     lambda_theta: float = 1e-4
     local_lr: float = 0.05
     batch_size: int = 32
-    epochs: int = 1
     sizes: list[int] | None = None
-    label_map: list[list[int]] | None = None
     epoch_list: list[int] | None = None
     participation_list: list[float] | None = None
     per_client: int = 1000
@@ -83,10 +81,7 @@ class ExperimentConfig:
         return nn.ModelSpec(tuple(self.layer_dims))
 
     def echo(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _is_int(v) -> bool:
@@ -115,8 +110,8 @@ def _check(cfg: ExperimentConfig) -> None:
         need(name, lambda v: isinstance(v, str), "a string")
     need("mode", lambda v: v in MODES, f"one of {MODES}")
     need("setting", lambda v: v in SETTING_IDS, f"one of {SETTING_IDS}")
-    for name in ("K", "M", "T", "batch_size", "epochs", "per_client",
-                 "val_size", "threads"):
+    for name in ("K", "M", "T", "batch_size", "per_client", "val_size",
+                 "threads"):
         need(name, positive_int, "a positive integer")
     for name in ("eta_g", "local_lr"):
         need(name, lambda v: _is_number(v) and v > 0, "a positive number")
@@ -131,10 +126,6 @@ def _check(cfg: ExperimentConfig) -> None:
         "epoch_list": (positive_int, "positive integers"),
         "participation_list": (lambda p: _is_number(p) and 0 < p <= 1,
                                "numbers in (0, 1]"),
-        "label_map": (lambda row: row and _is_list_of(
-            row, lambda c: _is_int(c) and 0 <= c < NUM_CLASSES)
-            and len(set(row)) == len(row),
-            f"nonempty lists of distinct labels in [0, {NUM_CLASSES})"),
     }
     for name, (ok, what) in optional_lists.items():
         need(name, lambda v: v is None or _is_list_of(v, ok) and len(v) == cfg.K,

@@ -189,7 +189,7 @@ def make_profiles(cfg: ExperimentConfig, data: list[Dataset]) -> list[ClientProf
     clients' rows."""
     if len(data) != cfg.K:
         raise ValueError(f"{len(data)} clients for K={cfg.K}")
-    epochs = [cfg.epochs] * cfg.K
+    epochs = [1] * cfg.K
     participation = [1.0] * cfg.K
     if cfg.setting == COMPUTATION:
         epochs = cfg.epoch_list or DEFAULT_EPOCH_LIST
@@ -215,7 +215,7 @@ def partition_for_setting(labels, cfg: ExperimentConfig) -> list[np.ndarray]:
     if cfg.setting == STATISTICAL:
         return partition_statistical(
             labels, cfg.sizes or DEFAULT_SKEW_SIZES[:cfg.K],
-            cfg.label_map or default_label_map(cfg.K), seed,
+            default_label_map(cfg.K), seed,
         )
     return partition_balanced(labels, cfg.K, cfg.per_client, seed)
 

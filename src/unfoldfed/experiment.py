@@ -18,7 +18,7 @@ from .data import (
     split_validation,
 )
 from .federation import fedavg_weights
-from .unfolding import RunHistory, softmax_weights, unfold_train
+from .unfolding import RunHistory, unfold_train
 
 
 @dataclass
@@ -70,12 +70,9 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
     )
 
 
-def run_experiment(cfg: ExperimentConfig, problem: Problem | None = None):
-    """Run the configured mode; returns (history, logits, theta_matrix).
-
-    `history` is the RunHistory that `unfold_train` built. For the baseline
-    modes `logits` and `theta_matrix` are None.
-    """
+def run_experiment(cfg: ExperimentConfig, problem: Problem | None = None) -> RunHistory:
+    """Run the configured mode; returns the RunHistory that `unfold_train`
+    built, whose `final_logits` are None for the baseline modes."""
     if problem is None:
         problem = prepare_problem(cfg)
     fixed_theta = None
@@ -83,14 +80,8 @@ def run_experiment(cfg: ExperimentConfig, problem: Problem | None = None):
         fixed_theta = np.tile(fedavg_weights(problem.profiles), (cfg.T, 1))
     elif cfg.mode == "fixed-uniform":
         fixed_theta = np.full((cfg.T, cfg.K), 1.0 / cfg.K)
-    logits, history = unfold_train(
-        cfg, problem.profiles, problem.val_batch, problem.test_batch,
-        fixed_theta=fixed_theta,
-    )
-    if fixed_theta is not None:
-        return history, None, None
-    theta_matrix = np.stack([softmax_weights(row) for row in logits])
-    return history, logits, theta_matrix
+    return unfold_train(cfg, problem.profiles, problem.val_batch,
+                        problem.test_batch, fixed_theta=fixed_theta)
 
 
 def final_test_accuracy(history: RunHistory) -> float:

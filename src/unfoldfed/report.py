@@ -10,13 +10,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .data import IdxFormatError
 from .federation import RoundRecord, check_simplex
-from .unfolding import RunHistory
+from .unfolding import RunHistory, softmax_weights
 
 
 def fmt(x: float) -> str:
@@ -99,16 +100,10 @@ def read_csv(path) -> RunHistory:
     return RunHistory(K=K, rounds=records)
 
 
-def emit_weights_json(logits: np.ndarray, theta_matrix: np.ndarray, path,
-                      config_hash: str = "") -> None:
-    """Persist the learned T x K logits and weight matrix."""
-    logits = np.asarray(logits, dtype=np.float64)
-    theta = np.asarray(theta_matrix, dtype=np.float64)
-    if logits.shape != theta.shape or logits.ndim != 2:
-        raise ValueError(f"shape mismatch: logits {logits.shape}, theta {theta.shape}")
-    for row in theta:
-        check_simplex(row)
-    T, K = logits.shape
+def emit_weights_json(logits: np.ndarray, config_hash: str, path) -> None:
+    """Persist the learned T x K logits and their row-softmax weights."""
+    theta = np.stack([softmax_weights(row) for row in logits])
+    T, K = np.shape(logits)
     doc = {
         "T": T,
         "K": K,
@@ -134,6 +129,7 @@ _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 
 _W, _H = 640, 400
 _MARGIN = 50
+CHART_KINDS = ("accuracy", "loss", "weights")
 
 
 def _scale(vals: np.ndarray, lo: float, hi: float, out_lo: float, out_hi: float):
@@ -147,11 +143,17 @@ def _polyline(xs, ys, color: str) -> str:
             f'points="{pts}"/>')
 
 
+def render_charts(history: RunHistory, out_dir) -> None:
+    """Write `<kind>.svg` into `out_dir` for every chart kind."""
+    for kind in CHART_KINDS:
+        render_svg(history, kind, os.path.join(out_dir, f"{kind}.svg"))
+
+
 def render_svg(history: RunHistory, kind: str, path) -> None:
     """Standalone line chart: accuracy/loss vs round, or per-client weights."""
     if not history.rounds:
         raise ValueError("cannot render an empty history")
-    if kind not in ("accuracy", "loss", "weights"):
+    if kind not in CHART_KINDS:
         raise ValueError(f"unknown chart kind {kind!r}")
     x = np.arange(len(history.rounds), dtype=np.float64)
     if kind == "accuracy":

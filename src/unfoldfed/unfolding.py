@@ -9,7 +9,7 @@ round's immediate effect, with a finite-difference oracle alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,14 +32,16 @@ class RunHistory:
 
     `rounds` holds every round's record with its meta-iteration. Entry m of
     `meta_losses` is meta-iteration m's accumulated validation loss, and
-    entry m of `logits` the T x K logits it applied. A history read back
-    from `history.csv` has rounds only.
+    entry m of `logits` the T x K logits it applied. `final_logits` are the
+    learned logits after the last meta-step, None for a fixed schedule. A
+    history read back from `history.csv` has rounds only.
     """
 
     K: int
     rounds: list[tuple[int, RoundRecord]] = field(default_factory=list)
     meta_losses: list[float] = field(default_factory=list)
     logits: list[np.ndarray] = field(default_factory=list)
+    final_logits: np.ndarray | None = None
 
 
 def softmax_weights(z_row: np.ndarray) -> np.ndarray:
@@ -120,9 +122,9 @@ def unfold_train(
     test: nn.Batch,
     fixed_theta: np.ndarray | None = None,
     start_logits: np.ndarray | None = None,
-) -> tuple[np.ndarray, RunHistory]:
-    """Run M meta-iterations of T unrolled rounds each; returns the final
-    logits and the run's RunHistory.
+) -> RunHistory:
+    """Run M meta-iterations of T unrolled rounds each; returns the run's
+    RunHistory, whose `final_logits` are the logits after the last meta-step.
 
     Every meta-iteration restarts from the same seeded initial model so the
     round index t of each logits row keeps its meaning, and runs its T
@@ -195,5 +197,5 @@ def unfold_train(
                 history.logits.append(z)  # rebound below, never written in place
                 z = canonical(meta_step(z, row_grads, cfg.eta_meta,
                                         cfg.lambda_theta))
-    return z, history
+    return history if fixed_theta is not None else replace(history, final_logits=z)
 

@@ -26,6 +26,7 @@ from unfoldfed.data import (
     split_validation,
 )
 from unfoldfed.experiment import final_test_accuracy, prepare_problem, run_experiment
+from unfoldfed.report import load_weights_json
 from unfoldfed.unfolding import softmax_weights, unfold_train
 from unfoldfed.verify import run_gradcheck
 from tests.test_nn import fd_gradient
@@ -68,13 +69,12 @@ def desk_runs(desk_paths, tmp_path_factory):
         cfg_u = from_dict(desk_config(desk_paths, seed, mode="unfolded",
                                       out_dir=str(out)))
         problem = prepare_problem(cfg_u)
-        hist_u, logits, theta = run_experiment(cfg_u, problem)
-        write_artifacts(cfg_u, hist_u, logits, theta)
+        hist_u = run_experiment(cfg_u, problem)
+        write_artifacts(cfg_u, hist_u)
         cfg_f = from_dict(desk_config(desk_paths, seed, mode="fedavg", M=1))
-        hist_f, _, _ = run_experiment(cfg_f, problem)
+        hist_f = run_experiment(cfg_f, problem)
         runs[seed] = {
-            "unfolded": hist_u, "fedavg": hist_f,
-            "logits": logits, "theta": theta, "config": cfg_u, "out": out,
+            "unfolded": hist_u, "fedavg": hist_f, "config": cfg_u, "out": out,
         }
     runs["elapsed"] = time.perf_counter() - t0
     return runs
@@ -118,9 +118,9 @@ def test_criterion_3_fedavg_equivalence(desk_paths):
     from unfoldfed.federation import fedavg_weights
     assert np.array_equal(fedavg_weights(problem.profiles),
                           softmax_weights(np.zeros(5)))
-    hist_f, _, _ = run_experiment(cfg_f, problem)
+    hist_f = run_experiment(cfg_f, problem)
     cfg_u = from_dict(desk_config(desk_paths, 11, mode="unfolded", **overrides))
-    hist_u, _, _ = run_experiment(cfg_u, problem)
+    hist_u = run_experiment(cfg_u, problem)
     assert len(hist_f.rounds) == len(hist_u.rounds) == 10
     for (mf, rf), (mu, ru) in zip(hist_f.rounds, hist_u.rounds):
         assert np.array_equal(rf.theta, ru.theta)
@@ -141,11 +141,12 @@ def test_criterion_4_simplex_and_shift_invariance(desk_paths, desk_runs):
     start = np.zeros((cfg.T, cfg.K))
     shifted = start.copy()
     shifted[3] += 7.3
-    _, h1 = unfold_train(cfg, problem.profiles, problem.val_batch,
-                         problem.test_batch, start_logits=start)
-    _, h2 = unfold_train(cfg, problem.profiles, problem.val_batch,
-                         problem.test_batch, start_logits=shifted)
+    h1 = unfold_train(cfg, problem.profiles, problem.val_batch,
+                      problem.test_batch, start_logits=start)
+    h2 = unfold_train(cfg, problem.profiles, problem.val_batch,
+                      problem.test_batch, start_logits=shifted)
     assert h1.meta_losses == h2.meta_losses
+    assert np.array_equal(h1.final_logits, h2.final_logits)
     assert len(h1.logits) == len(h2.logits)
     for a, b in zip(h1.logits, h2.logits):
         assert np.array_equal(a, b)
@@ -177,8 +178,8 @@ def test_criterion_5_homogeneity_yields_uniform_weights(desk_paths):
                                lambda_theta=1e-4,
                                seeds={"model": seed, "data": seed + 1,
                                       "rounds": seed + 2})
-        logits, _ = unfold_train(cfg, profiles, val_batch, test_batch)
-        for row in logits:
+        history = unfold_train(cfg, profiles, val_batch, test_batch)
+        for row in history.final_logits:
             theta = softmax_weights(row)
             assert np.abs(theta - 0.2).max() <= 0.05, (seed, theta)
     ok(5, "5 identical clients: final weight rows within L-inf 0.05 of uniform "
@@ -229,6 +230,8 @@ def test_criterion_9_determinism_and_threads(desk_paths, desk_runs, tmp_path):
     ref = (outs[0] / "weights.json").read_bytes()
     assert (outs[1] / "weights.json").read_bytes() == ref
     assert (outs[2] / "weights.json").read_bytes() == ref
+    logits = load_weights_json(outs[0] / "weights.json")["logits"]
+    assert logits.tobytes() == desk_runs[11]["unfolded"].final_logits.tobytes()
     ok(9, "byte-identical CSV and weights across repeated runs and across "
           "--threads 1 vs 8")
 

@@ -124,12 +124,8 @@ class TestParseConfig:
         ({"setting": "statistical", "K": 6}, "sizes"),
         ({"setting": "computation", "K": 6}, "epoch_list"),
         ({"setting": "communication", "K": 6}, "participation_list"),
-        ({"label_map": [[0, 12], [2, 3], [4, 5], [6, 7], [8, 9]]}, "label_map"),
-        ({"label_map": [[], [2, 3], [4, 5], [6, 7], [8, 9]]}, "label_map"),
-        ({"label_map": [[0, 0], [2, 3], [4, 5], [6, 7], [8, 9]]}, "label_map"),
         ({"layer_dims": [784, 32, 5]}, "layer_dims"),
-    ], ids=["stat-K6", "comp-K6", "comm-K6", "label-12", "empty-row",
-            "repeated-label", "classes-5"])
+    ], ids=["stat-K6", "comp-K6", "comm-K6", "classes-5"])
     def test_unusable_value_exit_2(self, tmp_path, capsys, raw, field):
         with pytest.raises(ConfigError, match=repr(field)) as parsed:
             from_dict(raw)
@@ -171,6 +167,20 @@ class TestParseConfig:
         small_config.write_text(json.dumps(raw))
         assert main(["run", "--config", str(small_config)]) == EXIT_CONFIG
         assert "emit_svg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 1),
+        ("label_map", [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]),
+    ])
+    def test_removed_field_is_unknown(self, small_config, capsys, field, value):
+        # Every client of the statistical and communication settings trains
+        # one epoch, and the statistical split always takes default_label_map.
+        raw = dict(json.loads(small_config.read_text()), **{field: value})
+        with pytest.raises(ConfigError, match=f"unknown config field.*{field}"):
+            from_dict(raw)
+        small_config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(small_config)]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
 
     def test_env_root_fallback(self, tmp_path, synth_paths, monkeypatch):
         import os

@@ -91,11 +91,15 @@ def test_prepare_problem_keeps_no_copy_of_the_training_set(synth_paths, setting)
 
 
 @pytest.mark.parametrize("mode", ["fedavg", "fixed-uniform"])
-def test_fixed_weight_runs_record_no_logits(synth_paths, mode):
-    cfg = replace(synth_config(synth_paths, STATISTICAL), mode=mode, M=2, T=2)
-    history, logits, theta = run_experiment(cfg)
-    assert logits is None and theta is None
+def test_fixed_weight_runs_record_no_logits(synth_paths, tmp_path, mode):
+    cfg = replace(synth_config(synth_paths, STATISTICAL), mode=mode, M=2, T=2,
+                  out_dir=str(tmp_path))
+    history = run_experiment(cfg)
+    assert history.final_logits is None
     assert history.logits == [] and len(history.meta_losses) == 2
+    write_artifacts(cfg, history)
+    assert (tmp_path / "history.csv").is_file()
+    assert not (tmp_path / "weights.json").exists()
 
 
 @pytest.mark.parametrize("setting", [STATISTICAL, COMPUTATION, COMMUNICATION])
@@ -104,13 +108,15 @@ def test_weights_json_replays_bitwise_as_a_fixed_schedule(synth_paths, tmp_path,
     cfg = replace(synth_config(synth_paths, setting), M=2, T=3,
                   out_dir=str(tmp_path))
     problem = prepare_problem(cfg)
-    write_artifacts(cfg, *run_experiment(cfg, problem))
+    history = run_experiment(cfg, problem)
+    write_artifacts(cfg, history)
     doc = load_weights_json(tmp_path / "weights.json")
     assert np.any(doc["logits"] != 0)
+    assert doc["logits"].tobytes() == history.final_logits.tobytes()
     once = replace(cfg, M=1, eta_meta=0.0)
     args = (once, problem.profiles, problem.val_batch, problem.test_batch)
-    _, replayed = unfold_train(*args, fixed_theta=doc["theta"])
-    _, learned = unfold_train(*args, start_logits=doc["logits"])
+    replayed = unfold_train(*args, fixed_theta=doc["theta"])
+    learned = unfold_train(*args, start_logits=doc["logits"])
     assert replayed.meta_losses == learned.meta_losses
     assert len(replayed.rounds) == len(learned.rounds) == cfg.T
     for (_, a), (_, b) in zip(replayed.rounds, learned.rounds):

@@ -12,8 +12,10 @@ from unfoldfed.report import (
     emit_weights_json,
     load_weights_json,
     read_csv,
+    render_charts,
     render_svg,
 )
+from unfoldfed.unfolding import softmax_weights
 
 
 def make_record(t, K=2, theta=None, val_loss=1.5, test_acc=0.5):
@@ -89,36 +91,34 @@ class TestEmitWeightsJson:
     def test_uniform_logits(self, tmp_path):
         path = tmp_path / "w.json"
         logits = np.zeros((4, 5))
-        theta = np.full((4, 5), 0.2)
-        emit_weights_json(logits, theta, path)
+        emit_weights_json(logits, "", path)
         doc = json.loads(path.read_text())
         assert doc["T"] == 4 and doc["K"] == 5
         assert all(row == [0.2] * 5 for row in doc["theta"])
+        for z, theta in zip(logits, doc["theta"]):
+            assert np.array(theta).tobytes() == softmax_weights(z).tobytes()
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(3, 4))
-        theta = np.exp(logits)
-        theta /= theta.sum(axis=1, keepdims=True)
         path = tmp_path / "w.json"
-        emit_weights_json(logits, theta, path, config_hash="abc")
+        emit_weights_json(logits, "abc", path)
         doc = load_weights_json(path)
-        assert np.allclose(doc["logits"], logits, atol=1e-12)
-        assert np.allclose(doc["theta"], theta, atol=1e-12)
+        assert doc["logits"].tobytes() == logits.tobytes()
+        for z, theta in zip(logits, doc["theta"]):
+            assert theta.tobytes() == softmax_weights(z).tobytes()
         assert doc["K"] == 4 and doc["config_hash"] == "abc"
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_weights_json(np.zeros((2, 3)), np.full((3, 2), 0.5),
-                              tmp_path / "w.json")
-
-    def test_off_simplex_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="simplex"):
-            emit_weights_json(np.zeros((1, 2)), np.array([[0.7, 0.7]]),
-                              tmp_path / "w.json")
 
 
 class TestRenderSvg:
+    def test_render_charts_writes_every_kind(self, tmp_path):
+        history = make_history(2, 3, K=3)
+        render_charts(history, tmp_path)
+        for kind in ("accuracy", "loss", "weights"):
+            render_svg(history, kind, tmp_path / "one.svg")
+            assert (tmp_path / f"{kind}.svg").read_bytes() == \
+                (tmp_path / "one.svg").read_bytes()
+
     def test_two_point_history_one_polyline(self, tmp_path):
         path = tmp_path / "acc.svg"
         render_svg(make_history(1, 2), "accuracy", path)

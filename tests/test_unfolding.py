@@ -28,8 +28,8 @@ SPEC = nn.ModelSpec((20, 8, 10))
 def horizon_loss(cfg, profiles, val, test, z):
     """Meta-loss of meta-iteration 0 under the softmax rows of logits `z`."""
     schedule = np.stack([softmax_weights(row) for row in z])
-    _, history = unfold_train(replace(cfg, M=1), profiles, val, test,
-                              fixed_theta=schedule)
+    history = unfold_train(replace(cfg, M=1), profiles, val, test,
+                           fixed_theta=schedule)
     return history.meta_losses[0]
 
 
@@ -150,19 +150,20 @@ class TestUnfoldTrain:
     def test_shape_contract(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset, K=5)
         cfg = self._cfg(K=5, M=1, T=10)
-        logits, history = unfold_train(cfg, profiles, val, test)
-        assert logits.shape == (10, 5)
+        history = unfold_train(cfg, profiles, val, test)
+        assert history.final_logits.shape == (10, 5)
         assert len(history.meta_losses) == len(history.logits) == 1
         assert len(history.rounds) == 10
 
     def test_zero_meta_lr_no_learning(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(eta_meta=0.0)
-        logits, history = unfold_train(cfg, profiles, val, test)
-        assert np.array_equal(logits, np.zeros((3, 3)))
+        history = unfold_train(cfg, profiles, val, test)
+        assert np.array_equal(history.final_logits, np.zeros((3, 3)))
         fixed = np.full((3, 3), 1 / 3)
-        _, history_fixed = unfold_train(cfg, profiles, val, test,
-                                        fixed_theta=fixed)
+        history_fixed = unfold_train(cfg, profiles, val, test,
+                                     fixed_theta=fixed)
+        assert history_fixed.final_logits is None
         assert history.meta_losses == history_fixed.meta_losses
         assert len(history.rounds) == len(history_fixed.rounds)
         for (_, ra), (_, rb) in zip(history.rounds, history_fixed.rounds):
@@ -172,9 +173,9 @@ class TestUnfoldTrain:
     def test_reproducible(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg()
-        z1, h1 = unfold_train(cfg, profiles, val, test)
-        z2, h2 = unfold_train(cfg, profiles, val, test)
-        assert np.array_equal(z1, z2)
+        h1 = unfold_train(cfg, profiles, val, test)
+        h2 = unfold_train(cfg, profiles, val, test)
+        assert np.array_equal(h1.final_logits, h2.final_logits)
         assert np.array_equal(h1.meta_losses, h2.meta_losses)
         assert len(h1.logits) == len(h2.logits)
         for a, b in zip(h1.logits, h2.logits):
@@ -183,7 +184,7 @@ class TestUnfoldTrain:
     def test_applied_thetas_on_simplex(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(M=3, lambda_theta=1e-4)
-        _, history = unfold_train(cfg, profiles, val, test)
+        history = unfold_train(cfg, profiles, val, test)
         for _, rec in history.rounds:
             assert rec.theta.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(rec.theta >= 0)
@@ -194,11 +195,10 @@ class TestUnfoldTrain:
         start = np.zeros((3, 3))
         shifted = start.copy()
         shifted[1] += 7.3
-        _, h1 = unfold_train(cfg, profiles, val, test,
-                             start_logits=start)
-        _, h2 = unfold_train(cfg, profiles, val, test,
-                             start_logits=shifted)
+        h1 = unfold_train(cfg, profiles, val, test, start_logits=start)
+        h2 = unfold_train(cfg, profiles, val, test, start_logits=shifted)
         assert h1.meta_losses == h2.meta_losses
+        assert np.array_equal(h1.final_logits, h2.final_logits)
         assert len(h1.rounds) == len(h2.rounds)
         for (_, ra), (_, rb) in zip(h1.rounds, h2.rounds):
             assert np.array_equal(ra.theta, rb.theta)
@@ -207,7 +207,7 @@ class TestUnfoldTrain:
     def test_fixed_schedule_meta_loss_matches_trace(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(M=1)
-        logits, history = unfold_train(cfg, profiles, val, test)
+        history = unfold_train(cfg, profiles, val, test)
         total = horizon_loss(cfg, profiles, val, test, history.logits[0])
         assert total == pytest.approx(history.meta_losses[0], abs=1e-12)
 
@@ -216,13 +216,14 @@ class TestUnfoldTrain:
         cfg = self._cfg(M=2, T=3)
         schedule = np.stack([softmax_weights(row) for row in
                              np.random.default_rng(4).normal(size=(3, 3))])
-        _, history = unfold_train(cfg, profiles, val, test,
-                                  fixed_theta=schedule)
+        history = unfold_train(cfg, profiles, val, test,
+                               fixed_theta=schedule)
         assert [(m, rec.round) for m, rec in history.rounds] == \
             [(m, t) for m in range(2) for t in range(3)]
         for _, rec in history.rounds:
             assert rec.theta.tobytes() == schedule[rec.round].tobytes()
         assert len(history.meta_losses) == 2 and history.logits == []
+        assert history.final_logits is None
 
     @pytest.mark.parametrize("name, shape", [
         ("fixed_theta", (3,)), ("fixed_theta", (3, 3)), ("start_logits", (2, 4)),
@@ -250,7 +251,7 @@ class TestUnfoldTrain:
         # analytic row on a short, smooth horizon.
         profiles, val, test = small_problem(toy_dataset)
         cfg = self._cfg(M=1, T=2, eta_meta=0.0)
-        logits, history = unfold_train(cfg, profiles, val, test)
+        history = unfold_train(cfg, profiles, val, test)
         z = history.logits[0]
         w0 = nn.init_model(SPEC, cfg.seeds["model"])
         _, _, deltas, g = run_round(0, w0, SPEC, profiles, softmax_weights(z[0]),
@@ -347,8 +348,8 @@ class TestUnfoldTrain:
                              profiles, val, test)
                 for threads in (1, 2)]
         assert mp.active_children() == []
-        (z1, h1), (z2, h2) = runs
-        assert np.array_equal(z1, z2)
+        h1, h2 = runs
+        assert np.array_equal(h1.final_logits, h2.final_logits)
         assert np.array_equal(h1.meta_losses, h2.meta_losses)
         assert len(h1.logits) == len(h2.logits)
         for a, b in zip(h1.logits, h2.logits):
