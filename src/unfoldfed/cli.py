@@ -113,6 +113,8 @@ def cmd_partition(args) -> int:
             {
                 "client": k,
                 "size": len(p.data),
+                "epochs": p.epochs,
+                "participation": p.participation,
                 "label_histogram": np.bincount(p.data.labels, minlength=10).tolist(),
             }
             for k, p in enumerate(problem.profiles)

@@ -16,29 +16,13 @@ import os
 from dataclasses import dataclass, field, fields
 
 from . import nn
-from .data import (
-    COMMUNICATION,
-    COMPUTATION,
-    DEFAULT_EPOCH_LIST,
-    DEFAULT_PARTICIPATION,
-    DEFAULT_SKEW_SIZES,
-    NUM_CLASSES,
-    SETTING_IDS,
-    STATISTICAL,
-)
+from .data import CLIENT_DEFAULTS, NUM_CLASSES, SETTING_IDS, STATISTICAL
 
 MODES = ("fedavg", "fixed-uniform", "unfolded")
 
 DATA_PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
 SEED_DEFAULTS = {"model": 1, "data": 2, "rounds": 3}
-
-# The per-client list each setting reads, and its default for K <= 5.
-SETTING_LISTS = {
-    STATISTICAL: ("sizes", DEFAULT_SKEW_SIZES),
-    COMPUTATION: ("epoch_list", DEFAULT_EPOCH_LIST),
-    COMMUNICATION: ("participation_list", DEFAULT_PARTICIPATION),
-}
 
 
 class ConfigError(ValueError):
@@ -130,10 +114,13 @@ def _check(cfg: ExperimentConfig) -> None:
     for name, (ok, what) in optional_lists.items():
         need(name, lambda v: v is None or _is_list_of(v, ok) and len(v) == cfg.K,
              f"null or a list of K={cfg.K} {what}")
-    name, default = SETTING_LISTS[cfg.setting]
-    need(name, lambda v: v is not None or cfg.K <= len(default),
-         f"given for setting {cfg.setting!r} with K={cfg.K}: its default "
-         f"covers only {len(default)} clients")
+    for name, default in CLIENT_DEFAULTS[cfg.setting].items():
+        need(name, lambda v: v is not None or cfg.K <= len(default),
+             f"given for setting {cfg.setting!r} with K={cfg.K}: its default "
+             f"covers only {len(default)} clients")
+    if cfg.setting != STATISTICAL:
+        need("sizes", lambda v: v is None, f"null for setting {cfg.setting!r}, "
+             "whose balanced shards take 'per_client' rows each")
     need("seeds", lambda v: isinstance(v, dict) and set(v) <= set(SEED_DEFAULTS),
          "an object with keys among model, data, rounds")
     need("seeds", lambda v: all(_is_int(x) and x >= 0 for x in v.values()),
@@ -166,9 +153,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a JSON config; `overrides` replace its fields before the checks."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"malformed JSON in {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"top-level config in {path} must be a JSON object")

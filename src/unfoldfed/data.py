@@ -1,8 +1,12 @@
-"""MNIST-format ingestion and client-shard construction.
+"""MNIST-format ingestion and the client table.
 
-Builds the three heterogeneity settings (statistical, computation,
-communication) as index shards over the training labels, and the
-per-client profiles that hold each client's own rows.
+Every client has the same columns in every setting: its shard of the
+training rows, its local epochs (`epoch_list`) and its participation rate
+(`participation_list`). A heterogeneity setting only names the partitioner
+and the column it fills by default (`CLIENT_DEFAULTS`): statistical means
+label-skewed shards of `sizes`, computation and communication mean balanced
+shards of `per_client` rows with unequal epochs or participation. Any list a
+config gives applies in any setting; `sizes` only in the statistical one.
 """
 
 from __future__ import annotations
@@ -26,9 +30,13 @@ COMMUNICATION = "communication"
 SETTING_IDS = (STATISTICAL, COMPUTATION, COMMUNICATION)
 NUM_CLASSES = 10
 
-DEFAULT_SKEW_SIZES = (4000, 500, 500, 500, 500)
-DEFAULT_EPOCH_LIST = (1, 1, 3, 3, 5)
-DEFAULT_PARTICIPATION = (1.0, 1.0, 0.8, 0.6, 0.4)
+# The client-table columns each setting fills when the config gives no list,
+# for K <= 5 clients. A column no setting fills is 1 for every client.
+CLIENT_DEFAULTS = {
+    STATISTICAL: {"sizes": (4000, 500, 500, 500, 500)},
+    COMPUTATION: {"epoch_list": (1, 1, 3, 3, 5)},
+    COMMUNICATION: {"participation_list": (1.0, 1.0, 0.8, 0.6, 0.4)},
+}
 
 
 class IdxFormatError(ValueError):
@@ -184,17 +192,22 @@ def partition_balanced(labels, K: int, per_client: int, seed: int) -> list[np.nd
     return [np.sort(np.array(idx, dtype=np.int64)) for idx in shards]
 
 
+def client_column(cfg: ExperimentConfig, name: str) -> list:
+    """Column `name` of the client table, one entry per client: the config's
+    list if it gives one, else the setting's default, else 1 for every client
+    (one epoch, full participation)."""
+    column = getattr(cfg, name)
+    if column is None:
+        column = CLIENT_DEFAULTS[cfg.setting].get(name, (1,) * cfg.K)
+    return list(column[:cfg.K])
+
+
 def make_profiles(cfg: ExperimentConfig, data: list[Dataset]) -> list[ClientProfile]:
-    """Attach the setting's per-client epochs and participation to the
-    clients' rows."""
+    """Attach each client's epochs and participation to its rows."""
     if len(data) != cfg.K:
         raise ValueError(f"{len(data)} clients for K={cfg.K}")
-    epochs = [1] * cfg.K
-    participation = [1.0] * cfg.K
-    if cfg.setting == COMPUTATION:
-        epochs = cfg.epoch_list or DEFAULT_EPOCH_LIST
-    elif cfg.setting == COMMUNICATION:
-        participation = cfg.participation_list or DEFAULT_PARTICIPATION
+    epochs = client_column(cfg, "epoch_list")
+    participation = client_column(cfg, "participation_list")
     return [
         ClientProfile(
             data=rows,
@@ -213,10 +226,8 @@ def partition_for_setting(labels, cfg: ExperimentConfig) -> list[np.ndarray]:
     client: its sorted int64 indices into `labels`."""
     seed = cfg.seeds["data"]
     if cfg.setting == STATISTICAL:
-        return partition_statistical(
-            labels, cfg.sizes or DEFAULT_SKEW_SIZES[:cfg.K],
-            default_label_map(cfg.K), seed,
-        )
+        return partition_statistical(labels, client_column(cfg, "sizes"),
+                                     default_label_map(cfg.K), seed)
     return partition_balanced(labels, cfg.K, cfg.per_client, seed)
 
 

@@ -46,16 +46,19 @@ def emit_csv(history: RunHistory, path) -> None:
 def read_csv(path) -> RunHistory:
     """Parse a history written by `emit_csv`.
 
-    A file that is not such a history, or holds no rows, raises
-    IdxFormatError naming the line; so does a row that no run writes: a
+    A file that is not such a history (text or not) or holds no rows raises
+    IdxFormatError naming the file or line; so does a row that no run writes: a
     `val_loss` that is negative or not finite (a run that diverges raises
     instead), a `test_acc` outside [0, 1], weights off the simplex, or a
     row out of order. With T the number of leading rows of meta-iteration
     0, row i must be round i % T of meta-iteration i // T, and the last
     meta-iteration must have all T rounds.
     """
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except UnicodeDecodeError as e:
+        raise IdxFormatError(f"{path}: not a text file: {e}") from e
     K = len(rows[0]) - 5 if rows else 0
     if not rows or rows[0] != csv_header(K).split(","):
         raise IdxFormatError(f"{path}: no history header")

@@ -105,6 +105,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="malformed JSON"):
             parse_config(path)
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(ConfigError, match="malformed JSON"):
+            parse_config(path)
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: malformed JSON")
+
     @pytest.mark.parametrize("field,value", [
         ("eta_g", "1"),
         ("layer_dims", 5),
@@ -125,7 +133,9 @@ class TestParseConfig:
         ({"setting": "computation", "K": 6}, "epoch_list"),
         ({"setting": "communication", "K": 6}, "participation_list"),
         ({"layer_dims": [784, 32, 5]}, "layer_dims"),
-    ], ids=["stat-K6", "comp-K6", "comm-K6", "classes-5"])
+        ({"setting": "computation", "sizes": [100] * 5}, "sizes"),
+        ({"setting": "communication", "sizes": [100] * 5}, "sizes"),
+    ], ids=["stat-K6", "comp-K6", "comm-K6", "classes-5", "comp-sizes", "comm-sizes"])
     def test_unusable_value_exit_2(self, tmp_path, capsys, raw, field):
         with pytest.raises(ConfigError, match=repr(field)) as parsed:
             from_dict(raw)
@@ -148,8 +158,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("command", ["run", "partition"])
     @pytest.mark.parametrize("raw,field", [
         ({"val_size": 100000}, "val_size"),
-        ({"setting": "computation", "per_client": 1000}, "per_client"),
-        ({"setting": "computation", "per_client": 216}, "per_client"),
+        ({"setting": "computation", "sizes": None, "per_client": 1000}, "per_client"),
+        ({"setting": "computation", "sizes": None, "per_client": 216}, "per_client"),
         ({"sizes": [4000, 60, 60, 60, 60]}, "sizes"),
     ], ids=["val-above-N", "K-x-per-client-above-N", "label-short", "sizes-above-pool"])
     def test_value_the_data_cannot_satisfy_exit_2(self, small_config, capsys,
@@ -284,6 +294,16 @@ class TestCmdRun:
         assert main(["run", "--config", str(small_config)]) == EXIT_IO
         assert capsys.readouterr().err.startswith("i/o error")
 
+    def test_statistical_run_reads_participation_list(self, tmp_path, small_config):
+        raw = dict(json.loads(small_config.read_text()),
+                   participation_list=[1.0, 1.0, 1.0, 1.0, 0.1])
+        small_config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(small_config)]) == EXIT_OK
+        lines = (tmp_path / "out" / "history.csv").read_text().splitlines()
+        masks = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert all(mask[:4] == "1111" for mask in masks)
+        assert "0" in [mask[4] for mask in masks]
+
     def test_threads_accepted_and_echoed(self, tmp_path, small_config):
         assert main(["run", "--config", str(small_config), "--threads", "2"]) == EXIT_OK
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -386,11 +406,17 @@ class TestCmdGradcheck:
 
 class TestCmdPartition:
     def test_summary(self, tmp_path, small_config, capsys):
+        # Skewed shards with unequal epochs and partial participation.
+        raw = dict(json.loads(small_config.read_text()), epoch_list=[1, 2, 1, 2, 3],
+                   participation_list=[1.0, 1.0, 0.8, 0.6, 0.4])
+        small_config.write_text(json.dumps(raw))
         assert main(["partition", "--config", str(small_config),
                      "--out", str(tmp_path / "p")]) == EXIT_OK
         doc = json.loads((tmp_path / "p" / "partition.json").read_text())
         assert doc["K"] == 5
         assert [s["size"] for s in doc["shards"]] == [200, 60, 60, 60, 60]
+        assert [s["epochs"] for s in doc["shards"]] == [1, 2, 1, 2, 3]
+        assert [s["participation"] for s in doc["shards"]] == [1.0, 1.0, 0.8, 0.6, 0.4]
         assert abs(sum(doc["fedavg_weights"]) - 1.0) < 1e-12
 
 
@@ -400,6 +426,8 @@ class TestCmdReport:
     @pytest.mark.parametrize("mode", ["unfolded", "fedavg"])
     def test_rerender_from_csv(self, tmp_path, small_config, mode, setting):
         raw = json.loads(small_config.read_text())
+        if setting != "statistical":
+            del raw["sizes"]
         small_config.write_text(json.dumps(dict(raw, setting=setting,
                                                 per_client=60)))
         out = tmp_path / "out"
@@ -424,6 +452,13 @@ class TestCmdReport:
         assert main(["report", "--history", str(path),
                      "--out", str(tmp_path / "rep")]) == EXIT_IO
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_utf8_history_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"\xff" + csv_header(5).encode())
+        assert main(["report", "--history", str(path),
+                     "--out", str(tmp_path / "rep")]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"i/o error: {path}:")
 
     @pytest.mark.parametrize("order,line", [
         ([(5, -3), (0, 0), (0, 0)], 2),

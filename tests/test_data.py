@@ -8,6 +8,7 @@ from unfoldfed.config import ExperimentConfig
 from unfoldfed.data import (
     COMMUNICATION,
     COMPUTATION,
+    SETTING_IDS,
     STATISTICAL,
     IdxFormatError,
     default_label_map,
@@ -155,6 +156,15 @@ class TestMakeProfiles:
                                participation_list=[1.0, 1.0, 0.8, 0.6, 0.4])
         profiles = make_profiles(cfg, self._shards(toy_dataset))
         assert [p.participation for p in profiles] == [1.0, 1.0, 0.8, 0.6, 0.4]
+
+    def test_every_list_read_in_every_setting(self, toy_dataset):
+        # A setting names only the partitioner and its default column.
+        for setting in SETTING_IDS:
+            cfg = ExperimentConfig(setting=setting, epoch_list=[5] * 5,
+                                   participation_list=[0.1] * 5)
+            profiles = make_profiles(cfg, self._shards(toy_dataset))
+            assert [(p.epochs, p.participation) for p in profiles] == \
+                [(5, 0.1)] * 5, setting
 
     def test_length_mismatch_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
