@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import __version__, report, synth
+from . import __version__, report
 from .config import DATA_PATH_KEYS, ConfigError, ExperimentConfig, parse_config
 from .data import IdxFormatError
 from .experiment import final_test_accuracy, prepare_problem, run_experiment
@@ -139,6 +139,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # Only this command needs scipy; the others import none of it.
+    from . import synth
+
     for flag, count in (("--train-per-class", args.train_per_class),
                         ("--test-per-class", args.test_per_class)):
         if count < 1:

@@ -5,8 +5,9 @@ training rows, its local epochs (`epoch_list`) and its participation rate
 (`participation_list`). A heterogeneity setting only names the partitioner
 and the column it fills by default (`CLIENT_DEFAULTS`): statistical means
 label-skewed shards of `sizes`, computation and communication mean balanced
-shards of `per_client` rows with unequal epochs or participation. Any list a
-config gives applies in any setting; `sizes` only in the statistical one.
+shards of `per_client` rows (1000 when null) with unequal epochs or
+participation. Any list a config gives applies in any setting; `sizes` only in
+the statistical one, and `per_client` only outside it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ CLIENT_DEFAULTS = {
     COMPUTATION: {"epoch_list": (1, 1, 3, 3, 5)},
     COMMUNICATION: {"participation_list": (1.0, 1.0, 0.8, 0.6, 0.4)},
 }
+
+# Rows per balanced shard when the config's `per_client` is null.
+PER_CLIENT_DEFAULT = 1000
 
 
 class IdxFormatError(ValueError):
@@ -228,7 +232,8 @@ def partition_for_setting(labels, cfg: ExperimentConfig) -> list[np.ndarray]:
     if cfg.setting == STATISTICAL:
         return partition_statistical(labels, client_column(cfg, "sizes"),
                                      default_label_map(cfg.K), seed)
-    return partition_balanced(labels, cfg.K, cfg.per_client, seed)
+    per_client = PER_CLIENT_DEFAULT if cfg.per_client is None else cfg.per_client
+    return partition_balanced(labels, cfg.K, per_client, seed)
 
 
 def split_validation(n: int, n_val: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

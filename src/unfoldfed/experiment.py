@@ -36,15 +36,18 @@ class Problem:
     profiles: list
 
 
+def _load_checked(cfg: ExperimentConfig, images_path, labels_path) -> Dataset:
+    ds = load_dataset(images_path, labels_path)
+    if ds.images.shape[1] != cfg.layer_dims[0]:
+        raise ConfigError(
+            f"config field 'layer_dims': input width {cfg.layer_dims[0]} "
+            f"does not match the {ds.images.shape[1]}-pixel images in {images_path}"
+        )
+    return ds
+
+
 def prepare_problem(cfg: ExperimentConfig) -> Problem:
-    full_train = load_dataset(cfg.train_images, cfg.train_labels)
-    test = load_dataset(cfg.test_images, cfg.test_labels)
-    for ds, path in ((full_train, cfg.train_images), (test, cfg.test_images)):
-        if ds.images.shape[1] != cfg.layer_dims[0]:
-            raise ConfigError(
-                f"config field 'layer_dims': input width {cfg.layer_dims[0]} "
-                f"does not match the {ds.images.shape[1]}-pixel images in {path}"
-            )
+    full_train = _load_checked(cfg, cfg.train_images, cfg.train_labels)
     # A value the data cannot satisfy is an error in the field that asked for it.
     try:
         train_idx, val_idx = split_validation(len(full_train), cfg.val_size,
@@ -63,8 +66,13 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
     profiles = make_profiles(cfg, [
         Dataset(scale_pixels(images[r], np.float32), labels[r]) for r in rows
     ])
+    val_batch = nn.Batch(scale_pixels(images[val_idx]), labels[val_idx])
+    # Release the training file before the test file loads, so that the two
+    # files and the float64 test batch are never in memory at once.
+    del full_train, images
+    test = _load_checked(cfg, cfg.test_images, cfg.test_labels)
     return Problem(
-        val_batch=nn.Batch(scale_pixels(images[val_idx]), labels[val_idx]),
+        val_batch=val_batch,
         test_batch=nn.Batch(scale_pixels(test.images), test.labels),
         profiles=profiles,
     )

@@ -135,7 +135,9 @@ class TestParseConfig:
         ({"layer_dims": [784, 32, 5]}, "layer_dims"),
         ({"setting": "computation", "sizes": [100] * 5}, "sizes"),
         ({"setting": "communication", "sizes": [100] * 5}, "sizes"),
-    ], ids=["stat-K6", "comp-K6", "comm-K6", "classes-5", "comp-sizes", "comm-sizes"])
+        ({"setting": "statistical", "per_client": 1000}, "per_client"),
+    ], ids=["stat-K6", "comp-K6", "comm-K6", "classes-5", "comp-sizes", "comm-sizes",
+            "stat-per-client"])
     def test_unusable_value_exit_2(self, tmp_path, capsys, raw, field):
         with pytest.raises(ConfigError, match=repr(field)) as parsed:
             from_dict(raw)
@@ -154,6 +156,22 @@ class TestParseConfig:
         small_config.write_text(json.dumps(raw))
         assert main(["run", "--config", str(small_config)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error")
+
+    def test_test_file_width_mismatch_exit_2(self, tmp_path, small_config, capsys):
+        # The training file matches layer_dims; only the test file does not.
+        raw = json.loads(small_config.read_text())
+        count = len(data.load_idx_labels(raw["test_labels"]))
+        raw["test_images"] = str(tmp_path / "narrow-test-images")
+        synth.write_idx_images(raw["test_images"],
+                               np.zeros((count, 10, 10), dtype=np.uint8))
+        with pytest.raises(ConfigError, match="'layer_dims'") as e:
+            prepare_problem(from_dict(raw))
+        assert raw["test_images"] in str(e.value)
+        small_config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(small_config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config field 'layer_dims'")
+        assert raw["test_images"] in err
 
     @pytest.mark.parametrize("command", ["run", "partition"])
     @pytest.mark.parametrize("raw,field", [
@@ -218,6 +236,14 @@ class TestExperimentConfig:
     def test_list_length_checked(self):
         with pytest.raises(ConfigError, match="'epoch_list'"):
             ExperimentConfig(setting="computation", epoch_list=[1, 2])
+
+    def test_null_per_client_echoes_as_1000(self):
+        # A config that leaves per_client out keeps the manifest and the
+        # config_hash it had when the field defaulted to 1000.
+        for setting in ("statistical", "computation", "communication"):
+            assert ExperimentConfig(setting=setting).echo()["per_client"] == 1000
+        cfg = ExperimentConfig(setting="computation", per_client=40)
+        assert cfg.echo()["per_client"] == 40
 
     def test_partial_seeds_take_defaults(self):
         assert ExperimentConfig(seeds={"data": 7}).seeds == \
@@ -425,11 +451,11 @@ class TestCmdReport:
                                          "communication"])
     @pytest.mark.parametrize("mode", ["unfolded", "fedavg"])
     def test_rerender_from_csv(self, tmp_path, small_config, mode, setting):
-        raw = json.loads(small_config.read_text())
+        raw = dict(json.loads(small_config.read_text()), setting=setting)
         if setting != "statistical":
             del raw["sizes"]
-        small_config.write_text(json.dumps(dict(raw, setting=setting,
-                                                per_client=60)))
+            raw["per_client"] = 60
+        small_config.write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert main(["run", "--config", str(small_config), "--mode", mode]) == EXIT_OK
         rep = tmp_path / "rep"
@@ -477,6 +503,16 @@ class TestCmdReport:
         assert main(["report", "--history", str(path),
                      "--out", str(tmp_path / "rep")]) == EXIT_IO
         assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_only_synth_imports_scipy():
+    # scipy serves only `unfoldfed synth`; every other command runs without it.
+    probe = ("import sys, unfoldfed.cli, unfoldfed.experiment; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestCmdSynth:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from unfoldfed import synth
 from unfoldfed.cli import write_artifacts
 from unfoldfed.config import ExperimentConfig
 from unfoldfed.data import (
@@ -23,10 +24,10 @@ from unfoldfed.unfolding import unfold_train
 def synth_config(synth_paths, setting: str) -> ExperimentConfig:
     """A setting on the 1200-image synthetic set: five shards of 200 or
     fewer rows and a 100-image validation split."""
-    sizes = [100, 25, 25, 25, 25] if setting == STATISTICAL else None
-    return ExperimentConfig(**synth_paths, setting=setting, sizes=sizes,
-                            per_client=40, val_size=100,
-                            seeds={"model": 1, "data": 2, "rounds": 3})
+    shards = ({"sizes": [100, 25, 25, 25, 25]} if setting == STATISTICAL
+              else {"per_client": 40})
+    return ExperimentConfig(**synth_paths, setting=setting, **shards,
+                            val_size=100, seeds={"model": 1, "data": 2, "rounds": 3})
 
 
 @pytest.mark.parametrize("setting", [STATISTICAL, COMPUTATION, COMMUNICATION])
@@ -71,6 +72,13 @@ def test_peak_memory_below_one_float_copy_of_the_training_images(synth_paths):
     assert peak < one_float_copy
 
 
+def held_bytes(problem) -> int:
+    """The bytes of every array a Problem holds."""
+    held = sum(p.data.images.nbytes + p.data.labels.nbytes for p in problem.profiles)
+    return held + sum(b.features.nbytes + b.labels.nbytes
+                      for b in (problem.val_batch, problem.test_batch))
+
+
 @pytest.mark.parametrize("setting", [STATISTICAL, COMPUTATION, COMMUNICATION])
 def test_prepare_problem_keeps_no_copy_of_the_training_set(synth_paths, setting):
     # Beyond what the Problem holds, a call may hold the loaded files and the
@@ -85,10 +93,24 @@ def test_prepare_problem_keeps_no_copy_of_the_training_set(synth_paths, setting)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    held = sum(p.data.images.nbytes + p.data.labels.nbytes for p in problem.profiles)
-    held += sum(b.features.nbytes + b.labels.nbytes
-                for b in (problem.val_batch, problem.test_batch))
-    assert peak - held < 1.5 * train_pixels
+    assert peak - held_bytes(problem) < 1.5 * train_pixels
+
+
+def test_training_file_released_before_the_test_set_loads(tmp_path):
+    # Beyond what the Problem holds, the call may peak with the training file
+    # or with the test file and its scaled batch, but never with both files.
+    paths = synth.write_dataset(tmp_path, n_train_per_class=300,
+                                n_test_per_class=100, seed=0)
+    cfg = ExperimentConfig(**paths, sizes=[400] * 5, val_size=500)
+    train_pixels = load_dataset(cfg.train_images, cfg.train_labels).images.nbytes
+    prepare_problem(cfg)  # warm-up: first-call caches are not the call's own
+    tracemalloc.start()
+    try:
+        problem = prepare_problem(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < held_bytes(problem) + train_pixels
 
 
 @pytest.mark.parametrize("mode", ["fedavg", "fixed-uniform"])
