@@ -16,8 +16,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from . import nn
-from .data import (CLIENT_DEFAULTS, NUM_CLASSES, PER_CLIENT_DEFAULT, SETTING_IDS,
-                   STATISTICAL)
+from .data import CLIENT_DEFAULTS, NUM_CLASSES, SETTING_IDS
 
 MODES = ("fedavg", "fixed-uniform", "unfolded")
 
@@ -51,7 +50,6 @@ class ExperimentConfig:
     sizes: list[int] | None = None
     epoch_list: list[int] | None = None
     participation_list: list[float] | None = None
-    per_client: int | None = None  # rows per balanced shard; null is 1000
     val_size: int = 1000
     layer_dims: list[int] = field(default_factory=lambda: [784, 32, 10])
     seeds: dict = field(default_factory=lambda: dict(SEED_DEFAULTS))
@@ -66,12 +64,7 @@ class ExperimentConfig:
         return nn.ModelSpec(tuple(self.layer_dims))
 
     def echo(self) -> dict:
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        # Echoed as the 1000 rows it stood for when it could not be null, so
-        # a config that leaves it out keeps its manifest and config_hash.
-        if values["per_client"] is None:
-            values["per_client"] = PER_CLIENT_DEFAULT
-        return values
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _is_int(v) -> bool:
@@ -102,8 +95,6 @@ def _check(cfg: ExperimentConfig) -> None:
     need("setting", lambda v: v in SETTING_IDS, f"one of {SETTING_IDS}")
     for name in ("K", "M", "T", "batch_size", "val_size", "threads"):
         need(name, positive_int, "a positive integer")
-    need("per_client", lambda v: v is None or positive_int(v),
-         "null or a positive integer")
     for name in ("eta_g", "local_lr"):
         need(name, lambda v: _is_number(v) and v > 0, "a positive number")
     for name in ("eta_meta", "lambda_model", "lambda_theta"):
@@ -125,12 +116,6 @@ def _check(cfg: ExperimentConfig) -> None:
         need(name, lambda v: v is not None or cfg.K <= len(default),
              f"given for setting {cfg.setting!r} with K={cfg.K}: its default "
              f"covers only {len(default)} clients")
-    if cfg.setting == STATISTICAL:
-        need("per_client", lambda v: v is None, f"null for setting {cfg.setting!r}, "
-             "whose label-skewed shards take 'sizes' rows each")
-    else:
-        need("sizes", lambda v: v is None, f"null for setting {cfg.setting!r}, "
-             "whose balanced shards take 'per_client' rows each")
     need("seeds", lambda v: isinstance(v, dict) and set(v) <= set(SEED_DEFAULTS),
          "an object with keys among model, data, rounds")
     need("seeds", lambda v: all(_is_int(x) and x >= 0 for x in v.values()),

@@ -1,13 +1,12 @@
 """MNIST-format ingestion and the client table.
 
-Every client has the same columns in every setting: its shard of the
-training rows, its local epochs (`epoch_list`) and its participation rate
-(`participation_list`). A heterogeneity setting only names the partitioner
-and the column it fills by default (`CLIENT_DEFAULTS`): statistical means
-label-skewed shards of `sizes`, computation and communication mean balanced
-shards of `per_client` rows (1000 when null) with unequal epochs or
-participation. Any list a config gives applies in any setting; `sizes` only in
-the statistical one, and `per_client` only outside it.
+Every client has the same columns in every setting: the size of its shard
+of the training rows (`sizes`), its local epochs (`epoch_list`) and its
+participation rate (`participation_list`). A heterogeneity setting only names
+the partitioner and the column it fills by default (`CLIENT_DEFAULTS`):
+statistical means label-skewed shards of unequal sizes, computation and
+communication mean stratified shards with unequal epochs or participation.
+Any list a config gives applies in any setting.
 """
 
 from __future__ import annotations
@@ -32,15 +31,14 @@ SETTING_IDS = (STATISTICAL, COMPUTATION, COMMUNICATION)
 NUM_CLASSES = 10
 
 # The client-table columns each setting fills when the config gives no list,
-# for K <= 5 clients. A column no setting fills is 1 for every client.
+# for K <= 5 clients. A column the setting does not fill takes its
+# `COLUMN_FALLBACK` value for every client.
 CLIENT_DEFAULTS = {
     STATISTICAL: {"sizes": (4000, 500, 500, 500, 500)},
     COMPUTATION: {"epoch_list": (1, 1, 3, 3, 5)},
     COMMUNICATION: {"participation_list": (1.0, 1.0, 0.8, 0.6, 0.4)},
 }
-
-# Rows per balanced shard when the config's `per_client` is null.
-PER_CLIENT_DEFAULT = 1000
+COLUMN_FALLBACK = {"sizes": 1000, "epoch_list": 1, "participation_list": 1.0}
 
 
 class IdxFormatError(ValueError):
@@ -96,6 +94,8 @@ def _read_idx(path, magic: int, dims: tuple[str, ...]) -> np.ndarray:
                 f"bad magic 0x{found:08x} in {path} (expected 0x{magic:08x})"
             )
         shape = [_read_be32(f, what) for what in dims]
+        if 0 in shape:
+            raise IdxFormatError(f"{dims[shape.index(0)]} of 0 in {path}")
         payload = f.read()
     expected = math.prod(shape)
     if len(payload) != expected:
@@ -169,40 +169,42 @@ def partition_statistical(labels, sizes, label_map, seed: int) -> list[np.ndarra
     return shards
 
 
-def partition_balanced(labels, K: int, per_client: int, seed: int) -> list[np.ndarray]:
-    """Disjoint equal-size shards of the rows whose classes are `labels`, with
-    a stratified (per-label) draw."""
-    if K * per_client > len(labels):
+def partition_balanced(labels, sizes, seed: int) -> list[np.ndarray]:
+    """Disjoint shards of the rows whose classes are `labels`, sizes[k] rows
+    for client k, each a stratified (per-label) draw: within one row of
+    sizes[k] / n_classes from every class."""
+    if sum(sizes) > len(labels):
         raise ValueError(
-            f"need {K * per_client} samples for K={K} x {per_client}, "
+            f"need {sum(sizes)} samples for {len(sizes)} shards, "
             f"dataset has {len(labels)}"
         )
     rng = np.random.default_rng(seed)
     classes = np.unique(labels)
     pools = {c: rng.permutation(np.flatnonzero(labels == c)) for c in classes}
-    base, extra = divmod(per_client, len(classes))
-    shards: list[list[int]] = [[] for _ in range(K)]
     cursors = {c: 0 for c in classes}
-    for k in range(K):
+    shards = []
+    for k, size in enumerate(sizes):
+        base, extra = divmod(size, len(classes))
+        rows = []
         # The first `extra` classes (rotated by k) contribute one extra sample.
         for j, c in enumerate(classes):
             want = base + (1 if (j - k) % len(classes) < extra else 0)
-            pool = pools[c]
-            got = pool[cursors[c]:cursors[c] + want]
+            got = pools[c][cursors[c]:cursors[c] + want]
             if len(got) < want:
                 raise ValueError(f"not enough samples of label {c} for stratified draw")
             cursors[c] += want
-            shards[k].extend(got.tolist())
-    return [np.sort(np.array(idx, dtype=np.int64)) for idx in shards]
+            rows.append(got)
+        shards.append(np.sort(np.concatenate(rows)).astype(np.int64, copy=False))
+    return shards
 
 
 def client_column(cfg: ExperimentConfig, name: str) -> list:
     """Column `name` of the client table, one entry per client: the config's
-    list if it gives one, else the setting's default, else 1 for every client
-    (one epoch, full participation)."""
+    list if it gives one, else the setting's default, else the column's
+    fallback for every client (1000 rows, one epoch, full participation)."""
     column = getattr(cfg, name)
     if column is None:
-        column = CLIENT_DEFAULTS[cfg.setting].get(name, (1,) * cfg.K)
+        column = CLIENT_DEFAULTS[cfg.setting].get(name, (COLUMN_FALLBACK[name],) * cfg.K)
     return list(column[:cfg.K])
 
 
@@ -228,12 +230,10 @@ def partition_for_setting(labels, cfg: ExperimentConfig) -> list[np.ndarray]:
     """Dispatch to the partitioner matching the setting. `labels` are the
     classes of the training rows; each partitioner returns one shard per
     client: its sorted int64 indices into `labels`."""
-    seed = cfg.seeds["data"]
+    seed, sizes = cfg.seeds["data"], client_column(cfg, "sizes")
     if cfg.setting == STATISTICAL:
-        return partition_statistical(labels, client_column(cfg, "sizes"),
-                                     default_label_map(cfg.K), seed)
-    per_client = PER_CLIENT_DEFAULT if cfg.per_client is None else cfg.per_client
-    return partition_balanced(labels, cfg.K, per_client, seed)
+        return partition_statistical(labels, sizes, default_label_map(cfg.K), seed)
+    return partition_balanced(labels, sizes, seed)
 
 
 def split_validation(n: int, n_val: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

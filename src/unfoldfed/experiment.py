@@ -9,7 +9,6 @@ import numpy as np
 from . import nn
 from .config import ConfigError, ExperimentConfig
 from .data import (
-    STATISTICAL,
     Dataset,
     load_dataset,
     make_profiles,
@@ -58,8 +57,7 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
     try:
         shards = partition_for_setting(labels[train_idx], cfg)
     except ValueError as e:
-        name = "sizes" if cfg.setting == STATISTICAL else "per_client"
-        raise ConfigError(f"config field {name!r}: {e}") from e
+        raise ConfigError(f"config field 'sizes': {e}") from e
     # The split and the shards are indices into the file: each row the model
     # reads is gathered once, as it is scaled.
     rows = [train_idx[shard] for shard in shards]

@@ -61,8 +61,12 @@ def fedavg_weights(profiles: list[ClientProfile]) -> np.ndarray:
 
 
 def check_simplex(theta: np.ndarray) -> None:
-    theta = np.asarray(theta)
-    if np.any(theta < -SIMPLEX_TOL) or abs(theta.sum() - 1.0) > SIMPLEX_TOL:
+    """Raise ValueError unless every weight is finite and together they lie
+    on the simplex, within SIMPLEX_TOL."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"weights off the simplex: not finite: {theta}")
+    if not (np.all(theta >= -SIMPLEX_TOL) and abs(theta.sum() - 1.0) <= SIMPLEX_TOL):
         raise ValueError(
             f"weights off the simplex: sum={theta.sum():.9g}, min={theta.min():.9g}"
         )

@@ -112,7 +112,7 @@ def test_criterion_3_fedavg_equivalence(desk_paths):
     # which softmax reproduces bit-for-bit from equal logits.
     overrides = dict(M=1, T=10, eta_meta=0.0, lambda_model=0.0,
                      lambda_theta=0.0, setting="computation",
-                     epoch_list=[1] * 5, per_client=400, val_size=500)
+                     epoch_list=[1] * 5, sizes=[400] * 5, val_size=500)
     cfg_f = from_dict(desk_config(desk_paths, 11, mode="fedavg", **overrides))
     problem = prepare_problem(cfg_f)
     from unfoldfed.federation import fedavg_weights

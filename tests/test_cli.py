@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from unfoldfed import data, synth, verify
 from unfoldfed.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
                            EXIT_VERIFY, main)
-from unfoldfed.config import ConfigError, ExperimentConfig, from_dict, parse_config
+from unfoldfed.config import (DATA_PATH_KEYS, ConfigError, ExperimentConfig, from_dict,
+                              parse_config)
 from unfoldfed.experiment import prepare_problem
 from unfoldfed.report import csv_header
 
@@ -133,11 +134,7 @@ class TestParseConfig:
         ({"setting": "computation", "K": 6}, "epoch_list"),
         ({"setting": "communication", "K": 6}, "participation_list"),
         ({"layer_dims": [784, 32, 5]}, "layer_dims"),
-        ({"setting": "computation", "sizes": [100] * 5}, "sizes"),
-        ({"setting": "communication", "sizes": [100] * 5}, "sizes"),
-        ({"setting": "statistical", "per_client": 1000}, "per_client"),
-    ], ids=["stat-K6", "comp-K6", "comm-K6", "classes-5", "comp-sizes", "comm-sizes",
-            "stat-per-client"])
+    ], ids=["stat-K6", "comp-K6", "comm-K6", "classes-5"])
     def test_unusable_value_exit_2(self, tmp_path, capsys, raw, field):
         with pytest.raises(ConfigError, match=repr(field)) as parsed:
             from_dict(raw)
@@ -176,10 +173,12 @@ class TestParseConfig:
     @pytest.mark.parametrize("command", ["run", "partition"])
     @pytest.mark.parametrize("raw,field", [
         ({"val_size": 100000}, "val_size"),
-        ({"setting": "computation", "sizes": None, "per_client": 1000}, "per_client"),
-        ({"setting": "computation", "sizes": None, "per_client": 216}, "per_client"),
+        ({"setting": "computation", "sizes": [1000] * 5}, "sizes"),
+        ({"setting": "communication", "sizes": None}, "sizes"),
+        ({"setting": "computation", "sizes": [216] * 5}, "sizes"),
         ({"sizes": [4000, 60, 60, 60, 60]}, "sizes"),
-    ], ids=["val-above-N", "K-x-per-client-above-N", "label-short", "sizes-above-pool"])
+    ], ids=["val-above-N", "K-x-per-client-above-N", "default-sizes-above-N",
+            "label-short", "sizes-above-pool"])
     def test_value_the_data_cannot_satisfy_exit_2(self, small_config, capsys,
                                                   command, raw, field):
         raw = dict(json.loads(small_config.read_text()), **raw)
@@ -199,10 +198,11 @@ class TestParseConfig:
     @pytest.mark.parametrize("field,value", [
         ("epochs", 1),
         ("label_map", [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]),
+        ("per_client", 1000),
     ])
     def test_removed_field_is_unknown(self, small_config, capsys, field, value):
-        # Every client of the statistical and communication settings trains
-        # one epoch, and the statistical split always takes default_label_map.
+        # Epochs and shard sizes are the client-table columns `epoch_list`
+        # and `sizes`, and the statistical split always takes default_label_map.
         raw = dict(json.loads(small_config.read_text()), **{field: value})
         with pytest.raises(ConfigError, match=f"unknown config field.*{field}"):
             from_dict(raw)
@@ -237,13 +237,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="'epoch_list'"):
             ExperimentConfig(setting="computation", epoch_list=[1, 2])
 
-    def test_null_per_client_echoes_as_1000(self):
-        # A config that leaves per_client out keeps the manifest and the
-        # config_hash it had when the field defaulted to 1000.
-        for setting in ("statistical", "computation", "communication"):
-            assert ExperimentConfig(setting=setting).echo()["per_client"] == 1000
-        cfg = ExperimentConfig(setting="computation", per_client=40)
-        assert cfg.echo()["per_client"] == 40
+    def test_echo_is_every_field(self):
+        # manifest.json and config_hash echo each field as the config holds it.
+        cfg = ExperimentConfig(setting="computation", sizes=[40] * 5)
+        assert cfg.echo() == {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        assert cfg.echo()["sizes"] == [40] * 5
 
     def test_partial_seeds_take_defaults(self):
         assert ExperimentConfig(seeds={"data": 7}).seeds == \
@@ -319,6 +317,19 @@ class TestCmdRun:
         small_config.write_text(json.dumps(raw))
         assert main(["run", "--config", str(small_config)]) == EXIT_IO
         assert capsys.readouterr().err.startswith("i/o error")
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    @pytest.mark.parametrize("key", DATA_PATH_KEYS)
+    def test_empty_idx_file_exit_3(self, tmp_path, small_config, capsys, command, key):
+        raw = json.loads(small_config.read_text())
+        raw[key] = str(tmp_path / key)
+        if key.endswith("images"):
+            synth.write_idx_images(raw[key], np.zeros((0, 28, 28), dtype=np.uint8))
+        else:
+            synth.write_idx_labels(raw[key], np.zeros(0, dtype=np.uint8))
+        small_config.write_text(json.dumps(raw))
+        assert main([command, "--config", str(small_config)]) == EXIT_IO
+        assert capsys.readouterr().err == f"i/o error: count of 0 in {raw[key]}\n"
 
     def test_statistical_run_reads_participation_list(self, tmp_path, small_config):
         raw = dict(json.loads(small_config.read_text()),
@@ -445,6 +456,18 @@ class TestCmdPartition:
         assert [s["participation"] for s in doc["shards"]] == [1.0, 1.0, 0.8, 0.6, 0.4]
         assert abs(sum(doc["fedavg_weights"]) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("setting", ["computation", "communication"])
+    def test_sizes_apply_in_every_setting(self, tmp_path, small_config, setting):
+        # Unequal stratified shards: every client still draws from all ten labels.
+        raw = dict(json.loads(small_config.read_text()), setting=setting)
+        small_config.write_text(json.dumps(raw))
+        assert main(["partition", "--config", str(small_config),
+                     "--out", str(tmp_path / "p")]) == EXIT_OK
+        doc = json.loads((tmp_path / "p" / "partition.json").read_text())
+        assert [s["size"] for s in doc["shards"]] == [200, 60, 60, 60, 60]
+        assert all(min(s["label_histogram"]) > 0 for s in doc["shards"])
+        assert np.allclose(doc["fedavg_weights"], [5 / 11] + [3 / 22] * 4)
+
 
 class TestCmdReport:
     @pytest.mark.parametrize("setting", ["statistical", "computation",
@@ -453,8 +476,7 @@ class TestCmdReport:
     def test_rerender_from_csv(self, tmp_path, small_config, mode, setting):
         raw = dict(json.loads(small_config.read_text()), setting=setting)
         if setting != "statistical":
-            del raw["sizes"]
-            raw["per_client"] = 60
+            raw["sizes"] = [60] * 5
         small_config.write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert main(["run", "--config", str(small_config), "--mode", mode]) == EXIT_OK
@@ -470,7 +492,9 @@ class TestCmdReport:
                                      "0,1,1.0,1.5,0.2,0.2,0.2,0.2,0.2,11111",
                                      "0,1,1.0,nan,0.2,0.2,0.2,0.2,0.2,11111",
                                      "0,1,-1.0,0.5,0.2,0.2,0.2,0.2,0.2,11111",
-                                     "0,1,1.0,0.5,0.9,0.9,0.9,0.9,0.9,11111"])
+                                     "0,1,1.0,0.5,0.9,0.9,0.9,0.9,0.9,11111",
+                                     "0,0,1.0,0.5,nan,nan,0.2,0.2,0.2,11111",
+                                     "0,0,1.0,0.5,inf,-inf,0.2,0.2,0.2,11111"])
     def test_malformed_row_exit_3(self, tmp_path, capsys, row):
         path = tmp_path / "h.csv"
         # The empty row stands for a file that holds only the header.

@@ -1,7 +1,10 @@
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unfoldfed import data, synth
 from unfoldfed.config import ExperimentConfig
@@ -72,6 +75,14 @@ class TestIdxParsing:
         with pytest.raises(IdxFormatError, match="out of range"):
             load_idx_labels(path)
 
+    @pytest.mark.parametrize("shape,dim", [((0, 28, 28), "count"),
+                                           ((2, 0, 28), "rows")])
+    def test_zero_dimension_rejected(self, tmp_path, shape, dim):
+        path = tmp_path / "imgs"
+        synth.write_idx_images(path, np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(IdxFormatError, match=re.escape(f"{dim} of 0 in {path}")):
+            load_idx_images(path)
+
     def test_count_mismatch_rejected(self, tmp_path):
         img, lbl = tmp_path / "i", tmp_path / "l"
         synth.write_idx_images(img, np.zeros((2, 2, 2), dtype=np.uint8))
@@ -117,27 +128,44 @@ class TestPartitionStatistical:
 
 class TestPartitionBalanced:
     def test_equal_sizes_and_disjoint(self, toy_dataset):
-        shards = partition_balanced(toy_dataset.labels, K=5, per_client=20, seed=0)
+        shards = partition_balanced(toy_dataset.labels, sizes=[20] * 5, seed=0)
         all_idx = np.concatenate(shards)
         assert all(s.dtype == np.int64 and len(s) == 20 for s in shards)
         assert all(np.all(np.diff(s) > 0) for s in shards)
         assert len(np.unique(all_idx)) == 100
 
     def test_stratified_within_one(self, toy_dataset):
-        shards = partition_balanced(toy_dataset.labels, K=5, per_client=20, seed=0)
+        shards = partition_balanced(toy_dataset.labels, sizes=[20] * 5, seed=0)
         for shard in shards:
             counts = np.bincount(toy_dataset.labels[shard], minlength=10)
             assert np.all(np.abs(counts - 2) <= 1)
 
+    # Any K <= 8 sizes of at most 60 rows fit the 60 rows of each class:
+    # a class gives client k at most sizes[k] // 10 + 1 rows.
+    @given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_any_sizes_give_disjoint_stratified_shards(self, toy_dataset, sizes, seed):
+        labels = toy_dataset.labels
+        shards = partition_balanced(labels, sizes, seed)
+        assert [len(s) for s in shards] == sizes
+        assert all(s.dtype == np.int64 and np.all(np.diff(s) > 0) for s in shards)
+        assert len(np.unique(np.concatenate(shards))) == sum(sizes)
+        for size, shard in zip(sizes, shards):
+            counts = np.bincount(labels[shard], minlength=10)
+            assert np.all(np.abs(counts - size / 10) < 1), (size, counts)
+
     def test_insufficient_data_rejected(self, toy_dataset):
-        with pytest.raises(ValueError):
-            partition_balanced(toy_dataset.labels, K=10, per_client=1000, seed=0)
+        with pytest.raises(ValueError, match="need 601 samples"):
+            partition_balanced(toy_dataset.labels, sizes=[100] * 5 + [101], seed=0)
+        with pytest.raises(ValueError, match="label 1"):
+            partition_balanced(np.repeat([0, 1], [10, 2]), sizes=[6], seed=0)
 
 
 class TestMakeProfiles:
     def _shards(self, dataset, K=5):
-        return rows_of(dataset, partition_balanced(dataset.labels, K=K,
-                                                   per_client=20, seed=0))
+        return rows_of(dataset, partition_balanced(dataset.labels, sizes=[20] * K,
+                                                   seed=0))
 
     def test_computation_epoch_list(self, toy_dataset):
         cfg = ExperimentConfig(setting=COMPUTATION, epoch_list=[1, 1, 3, 3, 5])

@@ -24,9 +24,8 @@ from unfoldfed.unfolding import unfold_train
 def synth_config(synth_paths, setting: str) -> ExperimentConfig:
     """A setting on the 1200-image synthetic set: five shards of 200 or
     fewer rows and a 100-image validation split."""
-    shards = ({"sizes": [100, 25, 25, 25, 25]} if setting == STATISTICAL
-              else {"per_client": 40})
-    return ExperimentConfig(**synth_paths, setting=setting, **shards,
+    sizes = [100, 25, 25, 25, 25] if setting == STATISTICAL else [40] * 5
+    return ExperimentConfig(**synth_paths, setting=setting, sizes=sizes,
                             val_size=100, seeds={"model": 1, "data": 2, "rounds": 3})
 
 

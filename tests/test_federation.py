@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -146,10 +147,15 @@ class TestAggregate:
         assert np.allclose(out, [0.9, -1.8], atol=1e-15)
 
     def test_off_simplex_rejected(self):
+        # Every comparison with NaN is false, so NaN weights must fail on
+        # their own; infinite ones must fail without a RuntimeWarning.
         w = np.zeros(2)
-        with pytest.raises(ValueError, match="simplex"):
-            aggregate(w, self._updates([np.zeros(2)] * 2),
-                      np.array([0.6, 0.6]), 1.0, 0.0)
+        for theta in ([0.6, 0.6], [np.nan, 1.0], [np.nan, np.nan], [np.inf, -np.inf]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="simplex"):
+                    aggregate(w, self._updates([np.zeros(2)] * 2),
+                              np.array(theta), 1.0, 0.0)
 
     def test_non_participant_contributes_nothing(self):
         w = np.zeros(2)
@@ -198,7 +204,7 @@ def reference_fedavg_round(spec, w, profiles, theta, eta_g, seed_seq):
 
 class TestRunRound:
     def _setup(self, toy_dataset, K=3):
-        shards = partition_balanced(toy_dataset.labels, K=K, per_client=30, seed=2)
+        shards = partition_balanced(toy_dataset.labels, sizes=[30] * K, seed=2)
         cfg = ExperimentConfig(K=K, local_lr=0.05, batch_size=10)
         profiles = make_profiles(cfg, rows_of(toy_dataset, shards))
         eval_batch = nn.Batch(toy_dataset.images[:50], toy_dataset.labels[:50])
@@ -252,7 +258,7 @@ class TestRunRound:
         assert np.allclose(w_next, w - 0.05 * g, atol=1e-12)
 
     def test_all_absent_regularizer_only(self, toy_dataset):
-        shards = partition_balanced(toy_dataset.labels, K=2, per_client=20, seed=0)
+        shards = partition_balanced(toy_dataset.labels, sizes=[20] * 2, seed=0)
         profiles = [
             ClientProfile(data=d, epochs=1, local_lr=0.05,
                           participation=1e-12, batch_size=8)
@@ -273,7 +279,7 @@ def setting_profiles(dataset, setting, K=5):
     participation: computation has epochs (1, 1, 3, 3, 5), communication
     skips clients 2-4 at random."""
     cfg = ExperimentConfig(K=K, setting=setting, local_lr=0.05, batch_size=10)
-    shards = partition_balanced(dataset.labels, K=K, per_client=30, seed=2)
+    shards = partition_balanced(dataset.labels, sizes=[30] * K, seed=2)
     return make_profiles(cfg, rows_of(dataset, shards))
 
 

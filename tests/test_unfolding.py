@@ -33,9 +33,8 @@ def horizon_loss(cfg, profiles, val, test, z):
     return history.meta_losses[0]
 
 
-def small_problem(toy_dataset, K=3, per_client=30):
-    shards = partition_balanced(toy_dataset.labels, K=K, per_client=per_client,
-                                seed=1)
+def small_problem(toy_dataset, K=3):
+    shards = partition_balanced(toy_dataset.labels, sizes=[30] * K, seed=1)
     cfg = ExperimentConfig(K=K, local_lr=0.05, batch_size=10)
     profiles = make_profiles(cfg, rows_of(toy_dataset, shards))
     val = nn.Batch(toy_dataset.images[500:560], toy_dataset.labels[500:560])
