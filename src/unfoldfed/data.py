@@ -12,6 +12,7 @@ Any list a config gives applies in any setting.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -50,12 +51,13 @@ class Dataset:
     """Images and their labels, row for row.
 
     `load_dataset` fills `images` with the file's uint8 pixels. The
-    validation split and the client shards are row indices into that file,
-    so the rows the model reads are gathered from it once and scaled, by
-    `scale_pixels`, into features in [0, 1]: float32 for a client's rows.
+    validation split and the client shards are row indices into that file.
+    A client's rows are gathered from it once and stay uint8 pixels, which
+    `federation.local_sgd` scales to float32 one minibatch at a time; the
+    server's validation and test rows are scaled to float64 features once.
     """
 
-    images: np.ndarray  # (N, 784) uint8 pixels, or float32 in [0, 1] once scaled
+    images: np.ndarray  # (N, 784) uint8 pixels
     labels: np.ndarray  # (N,) int64 in [0, 10)
 
     def __post_init__(self):
@@ -70,11 +72,26 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ClientProfile:
-    data: Dataset  # the client's own rows, features scaled
+    """One client: its own rows, as uint8 pixels, and its training settings.
+
+    `data.images` must be a 2-D uint8 array: `federation.local_sgd` scales
+    each minibatch it draws, so rows that were scaled already would be
+    scaled twice.
+    """
+
+    data: Dataset  # the client's own rows, (n, 784) uint8 pixels
     epochs: int
     local_lr: float
     participation: float
     batch_size: int
+
+    def __post_init__(self):
+        images = self.data.images
+        if images.ndim != 2 or images.dtype != np.uint8:
+            raise ValueError(
+                f"client rows must be a 2-D uint8 pixel array, got a "
+                f"{images.ndim}-D {images.dtype} array"
+            )
 
 
 def _read_be32(f, what: str) -> int:
@@ -85,8 +102,12 @@ def _read_be32(f, what: str) -> int:
 
 
 def _read_idx(path, magic: int, dims: tuple[str, ...]) -> np.ndarray:
-    """An IDX file's uint8 payload as a read-only array over its bytes, shaped
-    by the header counts named in `dims`, once its magic is checked."""
+    """An IDX file's uint8 payload as a read-only array, shaped by the header
+    counts named in `dims`, once its magic is checked.
+
+    The payload is read straight into the one array that is returned; its
+    length is the file's size past the header.
+    """
     with open(path, "rb") as f:
         found = _read_be32(f, "magic")
         if found != magic:
@@ -96,18 +117,22 @@ def _read_idx(path, magic: int, dims: tuple[str, ...]) -> np.ndarray:
         shape = [_read_be32(f, what) for what in dims]
         if 0 in shape:
             raise IdxFormatError(f"{dims[shape.index(0)]} of 0 in {path}")
-        payload = f.read()
-    expected = math.prod(shape)
-    if len(payload) != expected:
+        expected = math.prod(shape)
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size == expected:
+            payload = np.empty(expected, dtype=np.uint8)
+            size = f.readinto(payload)
+    if size != expected:
         raise IdxFormatError(
-            f"truncated payload in {path}: {len(payload)} bytes, expected {expected}"
+            f"truncated payload in {path}: {size} bytes, expected {expected}"
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+    payload.flags.writeable = False
+    return payload.reshape(shape)
 
 
 def load_idx_images(path) -> np.ndarray:
     """Parse an IDX3 image file into a read-only (count, rows, cols) uint8
-    array over the file's bytes."""
+    array of the file's pixels."""
     return _read_idx(path, IDX_IMAGE_MAGIC, ("count", "rows", "cols"))
 
 

@@ -24,10 +24,11 @@ from .unfolding import RunHistory, unfold_train
 class Problem:
     """Prepared data and clients for one experiment.
 
-    Client k is `profiles[k]`: its own rows of the training split, as
-    float32 features in [0, 1], which also give its FedAvg weight and its
-    entry in `partition.json`. No other training row is kept. The
-    validation and test batches, which the server evaluates, are float64.
+    Client k is `profiles[k]`: its own rows of the training split, as the
+    file's uint8 pixels, which also give its FedAvg weight and its entry in
+    `partition.json`; `federation.local_sgd` scales each minibatch to
+    float32 as it draws it. No other training row is kept. The validation
+    and test batches, which the server evaluates, are float64 features.
     """
 
     val_batch: nn.Batch
@@ -59,11 +60,9 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
     except ValueError as e:
         raise ConfigError(f"config field 'sizes': {e}") from e
     # The split and the shards are indices into the file: each row the model
-    # reads is gathered once, as it is scaled.
+    # reads is gathered once. A client keeps its rows' pixels.
     rows = [train_idx[shard] for shard in shards]
-    profiles = make_profiles(cfg, [
-        Dataset(scale_pixels(images[r], np.float32), labels[r]) for r in rows
-    ])
+    profiles = make_profiles(cfg, [Dataset(images[r], labels[r]) for r in rows])
     val_batch = nn.Batch(scale_pixels(images[val_idx]), labels[val_idx])
     # Release the training file before the test file loads, so that the two
     # files and the float64 test batch are never in memory at once.

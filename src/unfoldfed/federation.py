@@ -3,8 +3,9 @@
 The server update is w <- w + eta_g * sum_k theta_k * delta_k - lambda * w,
 so the map from weights to the next model is affine in theta at fixed deltas.
 
-A client is its profile: its own rows in, a delta out. A client trains in
-float32, on its float32 rows from the server's model rounded to float32, and
+A client is its profile: its own rows in, a delta out. A client holds its
+rows as uint8 pixels and trains in float32, from the server's model rounded
+to float32, scaling each minibatch it draws to float32 features. It
 returns only the change it made, which the server widens to float64 and adds
 to its own float64 model. Clients train in a `ClientPool` of
 min(threads, K, usable cores) processes. The calling process is one of them
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import ClientProfile
+from .data import ClientProfile, scale_pixels
 
 SIMPLEX_TOL = 1e-6
 
@@ -82,6 +83,10 @@ def local_sgd(
     the client rate, in float32 from `global_params` rounded to float32;
     returns the float32 change the training made to those parameters.
 
+    Each minibatch's uint8 pixels are scaled to float32 features as it is
+    drawn; `scale_pixels` gives a row the same bits whichever rows it is
+    scaled with, so this equals scaling the whole shard first.
+
     Raises ClientDivergedError if the change is not all finite: float32
     overflows near 3.4e38. Non-finite entries never become finite again
     under SGD, so one check at the end sees any that arose on the way.
@@ -93,7 +98,8 @@ def local_sgd(
         order = rng.permutation(len(data))
         for start in range(0, len(data), profile.batch_size):
             rows = order[start:start + profile.batch_size]
-            batch = nn.Batch(data.images[rows], data.labels[rows])
+            batch = nn.Batch(scale_pixels(data.images[rows], np.float32),
+                             data.labels[rows])
             _, grad = nn.loss_and_grad(spec, params, batch)
             params = nn.sgd_step(params, grad, profile.local_lr)
     params -= w32

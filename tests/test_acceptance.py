@@ -164,8 +164,8 @@ def test_criterion_5_homogeneity_yields_uniform_weights(desk_paths):
     train_idx, val_idx = split_validation(len(full), 500, seed=0)
     test = load_dataset(desk_paths["test_images"], desk_paths["test_labels"])
     rows = train_idx[:300]
-    # Float32 client rows and float64 server batches, as prepare_problem gives.
-    shared = Dataset(scale_pixels(full.images[rows], np.float32), full.labels[rows])
+    # uint8 client rows and float64 server batches, as prepare_problem gives.
+    shared = Dataset(full.images[rows], full.labels[rows])
     val_batch = nn.Batch(scale_pixels(full.images[val_idx]), full.labels[val_idx])
     test_batch = nn.Batch(scale_pixels(test.images[:500]), test.labels[:500])
     profiles = [

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from unfoldfed.data import (
     COMPUTATION,
     SETTING_IDS,
     STATISTICAL,
+    ClientProfile,
+    Dataset,
     IdxFormatError,
     default_label_map,
     load_idx_images,
@@ -62,6 +65,36 @@ class TestIdxParsing:
         path.write_bytes(full + b"\x00" * (2 * 28 * 28 - 5))
         with pytest.raises(IdxFormatError, match="truncated payload"):
             load_idx_images(path)
+
+    def test_over_long_payload_rejected(self, tmp_path):
+        path = tmp_path / "long"
+        full = struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 2, 28, 28)
+        path.write_bytes(full + b"\x00" * (2 * 28 * 28 + 3))
+        with pytest.raises(IdxFormatError,
+                           match=f"truncated payload in {re.escape(str(path))}: "
+                                 f"{2 * 28 * 28 + 3} bytes, expected {2 * 28 * 28}"):
+            load_idx_images(path)
+
+    def test_pixels_are_read_only(self, tmp_path):
+        path = tmp_path / "imgs"
+        synth.write_idx_images(path, np.ones((2, 3, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="read-only"):
+            load_idx_images(path)[0, 0, 0] = 0
+
+    def test_load_dataset_peaks_near_one_payload(self, tmp_path):
+        # The pixels are read into the array that holds them; a read that
+        # joined the file's bytes first would peak near two payloads.
+        paths = synth.write_dataset(tmp_path, n_train_per_class=300,
+                                    n_test_per_class=1, seed=0)
+        args = (paths["train_images"], paths["train_labels"])
+        data.load_dataset(*args)  # warm-up: first-call caches are not the call's own
+        tracemalloc.start()
+        try:
+            ds = data.load_dataset(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.images.nbytes <= peak < 1.25 * ds.images.nbytes
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "hdr"
@@ -197,6 +230,21 @@ class TestMakeProfiles:
     def test_length_mismatch_rejected(self, toy_dataset):
         with pytest.raises(ValueError):
             make_profiles(ExperimentConfig(K=5), self._shards(toy_dataset)[:3])
+
+
+class TestClientProfile:
+    @pytest.mark.parametrize("images", [np.zeros((4, 3), dtype=np.float32),
+                                        np.zeros((4, 3)),
+                                        np.zeros((4, 3), dtype=np.int64),
+                                        np.zeros(4, dtype=np.uint8)],
+                             ids=["float32", "float64", "int64", "1-D"])
+    def test_rows_must_be_uint8_pixels(self, images):
+        # Scaled rows would be scaled again by every minibatch.
+        rows = Dataset(images, np.zeros(len(images), dtype=np.int64))
+        with pytest.raises(ValueError, match=f"uint8 pixel array, got a "
+                                             f"{images.ndim}-D {images.dtype}"):
+            ClientProfile(data=rows, epochs=1, local_lr=0.05, participation=1.0,
+                          batch_size=2)
 
 
 class TestSplitValidation:

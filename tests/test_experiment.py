@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from unfoldfed import synth
+from unfoldfed import federation, nn, synth
 from unfoldfed.cli import write_artifacts
 from unfoldfed.config import ExperimentConfig
 from unfoldfed.data import (
@@ -30,13 +30,15 @@ def synth_config(synth_paths, setting: str) -> ExperimentConfig:
 
 
 @pytest.mark.parametrize("setting", [STATISTICAL, COMPUTATION, COMMUNICATION])
-def test_features_bitwise_equal_to_scaling_every_image_first(synth_paths, setting):
+def test_features_bitwise_equal_to_scaling_every_image_first(synth_paths, setting,
+                                                             monkeypatch):
     cfg = synth_config(synth_paths, setting)
 
     def scaled_first(images, labels):
         ds = load_dataset(images, labels)
         return Dataset(ds.images.astype(np.float64) / 255.0, ds.labels)
 
+    pixels = load_dataset(synth_paths["train_images"], synth_paths["train_labels"])
     full = scaled_first(synth_paths["train_images"], synth_paths["train_labels"])
     train_idx, val_idx = split_validation(len(full), cfg.val_size, cfg.seeds["data"])
     test = scaled_first(synth_paths["test_images"], synth_paths["test_labels"])
@@ -46,10 +48,34 @@ def test_features_bitwise_equal_to_scaling_every_image_first(synth_paths, settin
     assert len(problem.profiles) == len(shards)
     for shard, profile in zip(shards, problem.profiles):
         rows = train_idx[shard]
-        assert profile.data.images.dtype == np.float32
-        assert profile.data.images.tobytes() == \
-            full.images[rows].astype(np.float32).tobytes()
+        assert profile.data.images.dtype == np.uint8
+        assert profile.data.images.tobytes() == pixels.images[rows].tobytes()
         assert np.array_equal(profile.data.labels, full.labels[rows])
+
+    # Each minibatch a client trains on is its rows of the float64 quotient,
+    # rounded to float32, bit for bit.
+    batches = []
+    loss_and_grad = nn.loss_and_grad
+
+    def recorded(spec, params, batch):
+        batches.append(batch)
+        return loss_and_grad(spec, params, batch)
+
+    monkeypatch.setattr(nn, "loss_and_grad", recorded)
+    spec = nn.ModelSpec(cfg.layer_dims)
+    params = nn.init_model(spec, 0)
+    for k, (shard, profile) in enumerate(zip(shards, problem.profiles)):
+        batches.clear()
+        federation.local_sgd(spec, params, profile, np.random.default_rng(k))
+        order = np.random.default_rng(k).permutation(len(shard))
+        expected = np.array_split(train_idx[shard][order],
+                                  range(cfg.batch_size, len(shard), cfg.batch_size))
+        assert len(batches) == profile.epochs * len(expected)
+        for batch, rows in zip(batches, expected):
+            assert batch.features.dtype == np.float32
+            assert batch.features.tobytes() == \
+                full.images[rows].astype(np.float32).tobytes()
+            assert np.array_equal(batch.labels, full.labels[rows])
     for batch in (problem.val_batch, problem.test_batch):
         assert batch.features.dtype == np.float64
     assert np.array_equal(problem.val_batch.features, full.images[val_idx])

@@ -13,7 +13,7 @@ import pytest
 from unfoldfed import federation, nn
 from unfoldfed.config import ExperimentConfig
 from unfoldfed.data import (ClientProfile, Dataset, make_profiles,
-                            partition_balanced)
+                            partition_balanced, scale_pixels)
 from unfoldfed.federation import (
     ClientDivergedError,
     ClientUpdate,
@@ -30,9 +30,12 @@ SPEC = nn.ModelSpec((20, 8, 10))
 
 def rows_of(dataset, shards):
     """Each shard's rows of `dataset`, one client's data per index array, as
-    float32 features like the rows `prepare_problem` gives a client."""
-    return [Dataset(dataset.images[idx].astype(np.float32), dataset.labels[idx])
-            for idx in shards]
+    uint8 pixels like the rows `prepare_problem` gives a client. Features in
+    [0, 1] become the nearest pixel values."""
+    images = dataset.images
+    if images.dtype != np.uint8:
+        images = np.rint(images * 255).astype(np.uint8)
+    return [Dataset(images[idx], dataset.labels[idx]) for idx in shards]
 
 
 def profile_for(dataset, indices, epochs=1, lr=0.05, p=1.0, batch=16):
@@ -43,7 +46,8 @@ def profile_for(dataset, indices, epochs=1, lr=0.05, p=1.0, batch=16):
 
 def sized_profiles(sizes):
     """One client per size, holding that many one-pixel rows."""
-    return [ClientProfile(data=Dataset(np.zeros((n, 1)), np.zeros(n, dtype=np.int64)),
+    return [ClientProfile(data=Dataset(np.zeros((n, 1), dtype=np.uint8),
+                                       np.zeros(n, dtype=np.int64)),
                           epochs=1, local_lr=0.05, participation=1.0, batch_size=16)
             for n in sizes]
 
@@ -80,7 +84,8 @@ class TestClientUpdate:
         rng = np.random.default_rng(5)
         rng.uniform()  # participation draw
         order = rng.permutation(24)
-        batch = nn.Batch(prof.data.images[order], prof.data.labels[order])
+        batch = nn.Batch(scale_pixels(prof.data.images[order], np.float32),
+                         prof.data.labels[order])
         w32 = params.astype(np.float32)
         _, g32 = nn.loss_and_grad(SPEC, w32, batch)
         assert g32.dtype == np.float32 and upd.delta.dtype == np.float64
@@ -182,8 +187,9 @@ class TestAggregate:
 
 def reference_fedavg_round(spec, w, profiles, theta, eta_g, seed_seq):
     """Independent FedAvg loop built straight from nn primitives: each client
-    trains in float32 from w rounded to float32, and the server sums the
-    float64 widening of each client's change."""
+    trains in float32 from w rounded to float32, on its pixels scaled to
+    float32, and the server sums the float64 widening of each client's
+    change."""
     children = seed_seq.spawn(len(profiles))
     step = np.zeros_like(w)
     w32 = w.astype(np.float32)
@@ -195,7 +201,8 @@ def reference_fedavg_round(spec, w, profiles, theta, eta_g, seed_seq):
             order = rng.permutation(len(prof.data))
             for start in range(0, len(order), prof.batch_size):
                 rows = order[start:start + prof.batch_size]
-                batch = nn.Batch(prof.data.images[rows], prof.data.labels[rows])
+                batch = nn.Batch(scale_pixels(prof.data.images[rows], np.float32),
+                                 prof.data.labels[rows])
                 _, g = nn.loss_and_grad(spec, local, batch)
                 local = local - prof.local_lr * g
         step += t_k * (local - w32).astype(np.float64)
@@ -253,7 +260,8 @@ class TestRunRound:
         rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
         rng.uniform()  # participation draw
         order = rng.permutation(40)
-        batch = nn.Batch(toy_dataset.images[order], toy_dataset.labels[order])
+        batch = nn.Batch(scale_pixels(prof.data.images[order]),
+                         prof.data.labels[order])
         _, g = nn.loss_and_grad(SPEC, w, batch)
         assert np.allclose(w_next, w - 0.05 * g, atol=1e-12)
 
@@ -447,15 +455,15 @@ class TestClientPool:
             import numpy as np
             from unfoldfed import federation, nn
             from unfoldfed.config import ExperimentConfig
-            from unfoldfed.data import Dataset, make_profiles
+            from unfoldfed.data import Dataset, make_profiles, scale_pixels
 
             federation.usable_cores = lambda: 8
             rng = np.random.default_rng(0)
-            data = [Dataset(rng.uniform(size=(30, 20)).astype(np.float32),
+            data = [Dataset(rng.integers(256, size=(30, 20), dtype=np.uint8),
                             rng.integers(10, size=30))
                     for _ in range(3)]
             profiles = make_profiles(ExperimentConfig(K=3, batch_size=10), data)
-            batch = nn.Batch(data[0].images.astype(np.float64), data[0].labels)
+            batch = nn.Batch(scale_pixels(data[0].images), data[0].labels)
             spec = nn.ModelSpec((20, 8, 10))
             with federation.client_pool(spec, profiles, 3) as pool:
                 federation.run_round(0, nn.init_model(spec, 0), spec, profiles,

@@ -301,9 +301,10 @@ class TestUnfoldTrain:
     def test_diverged_client_named_alike_at_any_pool_size(self, toy_dataset,
                                                          many_cores):
         # Client 2 trains in the worker at threads=2 (shares [0, 1, 4] and
-        # [2, 3]); a NaN pixel makes its parameters NaN in round 0.
+        # [2, 3]); at a local rate of 1e20 its float32 parameters overflow
+        # in round 0.
         profiles = setting_profiles(toy_dataset, "computation")
-        profiles[2].data.images[0, 0] = np.nan
+        profiles[2] = replace(profiles[2], local_lr=1e20)
         _, val, test = small_problem(toy_dataset)
         messages = []
         for threads in (1, 2):
