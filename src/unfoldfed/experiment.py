@@ -63,13 +63,18 @@ def prepare_problem(cfg: ExperimentConfig) -> Problem:
     # reads is gathered once. A client keeps its rows' pixels.
     rows = [train_idx[shard] for shard in shards]
     profiles = make_profiles(cfg, [Dataset(images[r], labels[r]) for r in rows])
-    val_batch = nn.Batch(scale_pixels(images[val_idx]), labels[val_idx])
+    val_pixels = images[val_idx]
+    val_features = np.empty(val_pixels.shape)
     # Release the training file before the test file loads, so that the two
-    # files and the float64 test batch are never in memory at once.
+    # files and the float64 test batch are never in memory at once. The
+    # validation features are allocated above but written only now: resident
+    # memory counts written pages, so they never sit beside the file either.
     del full_train, images
+    np.divide(val_pixels, 255, out=val_features)  # the quotient of scale_pixels
+    del val_pixels
     test = _load_checked(cfg, cfg.test_images, cfg.test_labels)
     return Problem(
-        val_batch=val_batch,
+        val_batch=nn.Batch(val_features, labels[val_idx]),
         test_batch=nn.Batch(scale_pixels(test.images), test.labels),
         profiles=profiles,
     )

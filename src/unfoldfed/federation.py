@@ -22,7 +22,6 @@ same bits.
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
@@ -280,6 +279,7 @@ def client_pool(spec: nn.ModelSpec, profiles: list[ClientProfile],
     clean = False
     try:
         for share in shares[1:]:
+            import multiprocessing as mp  # a run that forks no worker never loads it
             ctx = mp.get_context("fork")
             mine, theirs = ctx.Pipe()
             proc = ctx.Process(target=_serve,

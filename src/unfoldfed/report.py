@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import os
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -170,6 +169,7 @@ def render_svg(history: RunHistory, kind: str, path) -> None:
         series = [(f"client {k}", thetas[:, k]) for k in range(history.K)]
         y_label = "aggregation weight"
 
+    # Every label is a constant with no character that XML would escape.
     y_all = np.concatenate([s for _, s in series])
     y_lo, y_hi = float(y_all.min()), float(y_all.max())
     if y_hi == y_lo:
@@ -185,7 +185,7 @@ def render_svg(history: RunHistory, kind: str, path) -> None:
         f'<text x="{_W // 2}" y="{_H - 10}" text-anchor="middle" '
         f'font-size="13">round (all meta-iterations)</text>',
         f'<text x="15" y="{_H // 2}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 15 {_H // 2})">{escape(y_label)}</text>',
+        f'transform="rotate(-90 15 {_H // 2})">{y_label}</text>',
         f'<text x="{_MARGIN}" y="{_H - _MARGIN + 16}" font-size="11">0</text>',
         f'<text x="{_W - 30}" y="{_H - _MARGIN + 16}" font-size="11">'
         f'{len(x) - 1}</text>',
@@ -200,7 +200,7 @@ def render_svg(history: RunHistory, kind: str, path) -> None:
         plot.append(_polyline(px, py, color))
         plot.append(
             f'<text x="{_W - 130}" y="{20 + 14 * i}" font-size="11" '
-            f'fill="{color}">{escape(name)}</text>'
+            f'fill="{color}">{name}</text>'
         )
     plot.append("</svg>")
     with open(path, "w", newline="") as f:

@@ -187,6 +187,7 @@ def unfold_train(
                 meta_loss += rec.val_loss
                 if fixed_theta is None:
                     row_grads[t] = meta_gradient_row(z[t], deltas, g, cfg.eta_g)
+                del deltas, g  # the next round trains holding only its own
                 history.rounds.append((m, rec))
             if not np.isfinite(meta_loss):
                 raise FloatingPointError(

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -537,6 +538,21 @@ def test_only_synth_imports_scipy():
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_no_web_stack_or_multiprocessing_at_import():
+    # Escaping six constant chart labels does not need xml, whose sax package
+    # loads the stdlib web stack; multiprocessing loads only when a run forks
+    # a client worker. numpy loads urllib.parse through pathlib, so of urllib
+    # only that module may be there.
+    probe = ("import sys, unfoldfed.cli, unfoldfed.experiment; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('xml', 'urllib', 'http', 'email', 'ssl', 'socket', "
+             "'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    assert set(ast.literal_eval(done.stdout)) <= {"urllib", "urllib.parse"}
 
 
 class TestCmdSynth:

@@ -1,10 +1,11 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from unfoldfed import federation, nn, synth
+from unfoldfed import experiment, federation, nn, synth
 from unfoldfed.cli import write_artifacts
 from unfoldfed.config import ExperimentConfig
 from unfoldfed.data import (
@@ -136,6 +137,42 @@ def test_training_file_released_before_the_test_set_loads(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < held_bytes(problem) + train_pixels
+
+
+def test_validation_features_written_after_the_training_file_is_released(
+        synth_paths, monkeypatch):
+    """No reference to the training images is left when the validation
+    features are written.
+
+    tracemalloc cannot pin this order: it counts an array when it is
+    allocated, not when its pages are written, and the features are
+    allocated while the file is still held. So weak references to the
+    loaded image array are checked from a wrapper around the write.
+    """
+    cfg = synth_config(synth_paths, STATISTICAL)
+    loaded, writes = [], []
+
+    def load(images_path, labels_path):
+        ds = load_dataset(images_path, labels_path)
+        loaded.append([weakref.ref(a) for a in (ds.images, ds.images.base)
+                       if a is not None])
+        return ds
+
+    divide = np.divide
+
+    def watched(*args, **kwargs):
+        if "out" in kwargs:
+            writes.append((weakref.ref(kwargs["out"]),
+                           [r() is None for r in loaded[0]]))
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "load_dataset", load)
+    monkeypatch.setattr(np, "divide", watched)
+    problem = prepare_problem(cfg)
+    assert len(loaded) == 2  # the training file, then the test file
+    [(written, released)] = writes
+    assert written() is problem.val_batch.features
+    assert released == [True] * len(loaded[0])
 
 
 @pytest.mark.parametrize("mode", ["fedavg", "fixed-uniform"])

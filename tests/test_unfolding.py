@@ -1,6 +1,7 @@
 import math
 import multiprocessing as mp
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unfoldfed import federation, nn
+from unfoldfed import federation, nn, unfolding
 from unfoldfed.config import ExperimentConfig
 from unfoldfed.data import make_profiles, partition_balanced
 from unfoldfed.federation import ClientDivergedError, run_round
@@ -365,6 +366,30 @@ class TestUnfoldTrain:
         with pytest.raises(IndexError, match="10001"):
             unfold_train(cfg, failing_profiles(toy_dataset, {1}), val, test)
         assert mp.active_children() == []
+
+    @pytest.mark.parametrize("mode", ["unfolded", "fedavg"])
+    def test_one_round_of_deltas_held(self, toy_dataset, monkeypatch, mode):
+        # The deltas and g that round t returns are dead when round t+1's
+        # run_round is entered, in a meta-iteration and across its end. The
+        # wrapper keeps weak references only.
+        profiles, val, test = small_problem(toy_dataset)
+        cfg = self._cfg(M=2, T=3)
+        fixed_theta = None if mode == "unfolded" else \
+            np.tile(federation.fedavg_weights(profiles), (cfg.T, 1))
+        held, returned, alive_on_entry = [], [], []
+        run_round = unfolding.run_round
+
+        def watched(*args, **kwargs):
+            alive_on_entry.append(sum(r() is not None for r in held))
+            w, rec, deltas, g = run_round(*args, **kwargs)
+            held[:] = [weakref.ref(a) for a in [*deltas, g] if a is not None]
+            returned.append(len(held))
+            return w, rec, deltas, g
+
+        monkeypatch.setattr(unfolding, "run_round", watched)
+        unfold_train(cfg, profiles, val, test, fixed_theta=fixed_theta)
+        assert returned == [cfg.K + (mode == "unfolded")] * (cfg.M * cfg.T)
+        assert alive_on_entry == [0] * (cfg.M * cfg.T)
 
     def test_profile_count_checked(self, toy_dataset):
         profiles, val, test = small_problem(toy_dataset)
